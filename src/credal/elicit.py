@@ -13,13 +13,15 @@ plausibility envelope of the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
 from .frames import Subset
 from .possibility import PossibilityDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ class BracketReport:
 
 def _subset_sum_table(n: int, seeds: dict[int, float]) -> np.ndarray:
     """Table t with t[mask] = sum of seed weights over submasks of mask."""
+    import numpy as np  # deferred: only the bracket check needs numpy
+
     table = np.zeros(1 << n)
     for mask, weight in seeds.items():
         table[mask] += weight
@@ -127,6 +131,8 @@ def bracket_check(
         raise ValidationError(
             f"frame has {n} atoms; exhaustive check is capped at {max_frame_size}"
         )
+    import numpy as np  # deferred: only the bracket check needs numpy
+
     p = maxent_distribution(statement)
     mass, _ = minspec_mass(statement)
 

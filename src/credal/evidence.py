@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FrameMismatchError, ValidationError
@@ -32,9 +32,9 @@ class MassFunction:
     """A body of evidence: non-empty focal subsets with positive weights summing to 1.
 
     Construction merges duplicate focal subsets, drops exact zero weights,
-    rejects negative weights and empty focal elements, checks the total
-    against 1 within ``SUM_TOLERANCE``, and stores weights divided by their
-    computed sum. Instances are immutable.
+    rejects non-finite or negative weights and empty focal elements, checks
+    the total against 1 within ``SUM_TOLERANCE``, and stores weights divided
+    by their computed sum. Instances are immutable.
     """
 
     __slots__ = ("frame", "_weights")
@@ -47,12 +47,17 @@ class MassFunction:
             _check_same_frame(frame, subset)
             if subset.mask == 0:
                 raise ValidationError("focal element is the contradiction (empty set)")
+            if not isfinite(weight):
+                raise ValidationError(f"non-finite focal weight {weight!r}")
             if weight < 0.0:
                 raise ValidationError(f"negative focal weight {weight!r}")
             if weight == 0.0:
                 continue
             merged[subset.mask] = merged.get(subset.mask, 0.0) + weight
-        total = fsum(merged.values())
+        try:
+            total = fsum(merged.values())
+        except OverflowError:
+            total = float("inf")
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"focal weights sum to {total!r}, not 1 within {SUM_TOLERANCE}")
         self.frame = frame

@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -281,6 +284,21 @@ class TestPlumbing:
         assert result.stderr.startswith("Error: line 2:")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("weights,message", [
+        (("nan", "1.0"), "line 2: non-finite focal weight nan"),
+        (("inf", "1.0"), "line 2: non-finite focal weight inf"),
+        (("1e308", "1e308"), "line 2: focal weights sum to inf"),
+    ])
+    def test_non_finite_weight_is_one_line(self, weights, message):
+        doc = f"frame w: a b\nmass m over w:\n  {{a}} {weights[0]}\n  {{b}} {weights[1]}\n"
+        for argv in (["query", "Bel", "m", "{a}"], ["classify", "m"]):
+            result = run(*argv, doc=doc, expect_exit=1)
+            assert isinstance(result.exception, SystemExit)
+            assert result.stdout == ""
+            assert result.stderr.startswith(f"Error: {message}")
+            assert len(result.stderr.splitlines()) == 1
+            assert "Traceback" not in result.stderr
+
     def test_missing_doc_is_usage_error(self):
         result = CliRunner().invoke(main, ["classify", "nested"])
         assert result.exit_code == 2
@@ -290,3 +308,26 @@ class TestPlumbing:
             main, ["--doc", "samples/horse_race.txt", "cardinality", "horse_leaky"])
         assert result.exit_code == 0
         assert result.output == "expected cardinality = 2.2\n"
+
+
+class TestStartup:
+    """`python -m credal.cli` in a fresh interpreter, as a user runs it."""
+
+    @staticmethod
+    def python(*args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_import_leaves_numpy_unloaded(self):
+        result = self.python("-c", "import sys, credal.cli; print('numpy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    def test_bracket_check_still_loads_numpy(self):
+        argv = "--doc samples/statement10.txt --csv check s1"
+        [expected] = [out for line, _, out in parse_session(REPO_ROOT / "samples/statement10.session")
+                      if line == f"credal {argv}"]
+        result = self.python("-m", "credal.cli", *shlex.split(argv))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected

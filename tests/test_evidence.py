@@ -59,6 +59,18 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="non-positive"):
             make_mass(w3, [(w3.full, 1.0), (w3.singleton("w1"), 0.0)])
 
+    @pytest.mark.parametrize("ctor", [MassFunction, make_mass])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w3, ctor, bad):
+        with pytest.raises(ValidationError, match="non-finite|non-positive"):
+            ctor(w3, [(w3.singleton("w1"), bad), (w3.full, 1.0)])
+
+    @pytest.mark.parametrize("ctor", [MassFunction, make_mass])
+    def test_overflowing_sum_rejected(self, w3, ctor):
+        # fsum raises OverflowError on these; it must surface as a ValidationError
+        with pytest.raises(ValidationError, match="sum"):
+            ctor(w3, [(w3.singleton("w1"), 1e308), (w3.singleton("w2"), 1e308)])
+
     def test_sum_tolerance(self, w3):
         with pytest.raises(ValidationError, match="sum"):
             MassFunction(w3, [(w3.full, 0.8)])
