@@ -10,8 +10,8 @@ nonzero exit status, never stack traces.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import TextIO
 
 import click
 
@@ -38,43 +38,43 @@ def cnum(v: float) -> str:
 class App:
     doc: Document
     csv: bool
-    out: str | None
+    out: TextIO | None
 
 
-@click.group()
-@click.option("--doc", "doc_file", required=True, type=click.File("r"),
-              help="Document to read (- for stdin).")
-@click.option("--csv", "as_csv", is_flag=True, help="Emit machine-readable CSV.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True),
-              default=None, help="Write output to a file instead of stdout.")
-@click.pass_context
-def main(ctx: click.Context, doc_file, as_csv: bool, out_path: str | None) -> None:
-    """Query and transform bodies of evidence, possibility distributions, and vague statements."""
-    try:
-        doc = parse_document(doc_file.read())
-    except CredalError as exc:
-        raise click.ClickException(str(exc)) from exc
-    ctx.obj = App(doc=doc, csv=as_csv, out=out_path)
+class _CredalGroup(click.Group):
+    """Shows a CredalError raised by any command as a one-line diagnostic, exit status 1."""
 
-
-def _emit(app: App, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if app.out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(app.out, "w") as fh:
-            fh.write(text)
-
-
-def _credal_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except CredalError as exc:
             raise click.ClickException(str(exc)) from exc
 
-    return wrapper
+
+@click.group(cls=_CredalGroup)
+@click.option("--doc", "doc_file", required=True, type=click.File("r"),
+              help="Document to read (- for stdin).")
+@click.option("--csv", "as_csv", is_flag=True, help="Emit machine-readable CSV.")
+@click.option("--out", "out_file", type=click.File("w"), default=None,
+              help="Write output to a file instead of stdout.")
+@click.pass_context
+def main(ctx: click.Context, doc_file: TextIO, as_csv: bool, out_file: TextIO | None) -> None:
+    """Query and transform bodies of evidence, possibility distributions, and vague statements."""
+    try:
+        text = doc_file.read()
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"cannot read {doc_file.name}: {exc}") from exc
+    ctx.obj = App(doc=parse_document(text), csv=as_csv, out=out_file)
+
+
+def _emit(app: App, lines: list[str]) -> None:
+    click.echo("\n".join(lines), file=app.out)
+
+
+def _get(table: dict, kind: str, name: str):
+    if name not in table:
+        raise click.ClickException(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _mass_like(doc: Document, name: str) -> MassFunction:
@@ -88,12 +88,6 @@ def _mass_like(doc: Document, name: str) -> MassFunction:
     if name in doc.probs:
         return doc.probs[name].as_mass()
     raise click.ClickException(f"unknown mass or prob {name!r}")
-
-
-def _mass_only(doc: Document, name: str) -> MassFunction:
-    if name not in doc.masses:
-        raise click.ClickException(f"unknown mass {name!r}")
-    return doc.masses[name]
 
 
 def _render_mass_block(doc: Document, name: str, mass: MassFunction) -> list[str]:
@@ -114,7 +108,6 @@ def _render_values_line(kind: str, doc: Document, name: str, frame: Frame,
 @click.argument("name")
 @click.argument("subset_text", metavar="SUBSET")
 @click.pass_obj
-@_credal_errors
 def query(app: App, measure: str, name: str, subset_text: str) -> None:
     """Evaluate one measure of one object on a subset literal like '{w1 w2}'."""
     doc = app.doc
@@ -123,9 +116,7 @@ def query(app: App, measure: str, name: str, subset_text: str) -> None:
         subset = parse_subset(mass.frame, subset_text)
         value = mass.belief(subset) if measure == "Bel" else mass.plausibility(subset)
     else:
-        if name not in doc.pis:
-            raise click.ClickException(f"unknown pi {name!r}")
-        pi = doc.pis[name]
+        pi = _get(doc.pis, "pi", name)
         subset = parse_subset(pi.frame, subset_text)
         value = pi.possibility_of(subset) if measure == "Pi" else pi.necessity_of(subset)
     if app.csv:
@@ -138,7 +129,6 @@ def query(app: App, measure: str, name: str, subset_text: str) -> None:
 @main.command()
 @click.argument("name")
 @click.pass_obj
-@_credal_errors
 def convert(app: App, name: str) -> None:
     """Convert between a possibility distribution and its consonant mass."""
     doc = app.doc
@@ -175,11 +165,10 @@ def convert(app: App, name: str) -> None:
 @main.command()
 @click.argument("name")
 @click.pass_obj
-@_credal_errors
 def approx(app: App, name: str) -> None:
     """Consonant approximation of a mass via its contour, with a consistency report."""
     doc = app.doc
-    mass = _mass_only(doc, name)
+    mass = _get(doc.masses, "mass", name)
     pi, report = consonant_approximate(mass)
     if app.csv:
         flag = "true" if report.consistent else "false"
@@ -205,18 +194,13 @@ def approx(app: App, name: str) -> None:
 @click.option("--prior", "prior_name", default=None,
               help="Condition a prior on the fuzzy event instead of assuming ignorance.")
 @click.pass_obj
-@_credal_errors
 def condition(app: App, name: str, prior_name: str | None) -> None:
     """Condition on a fuzzy event: possibilistic without a prior, Bayesian with one."""
     doc = app.doc
-    if name not in doc.fuzzies:
-        raise click.ClickException(f"unknown fuzzy set {name!r}")
-    f: FuzzySet = doc.fuzzies[name]
+    f: FuzzySet = _get(doc.fuzzies, "fuzzy set", name)
     atoms = f.scale.frame.atoms
     if prior_name is not None:
-        if prior_name not in doc.probs:
-            raise click.ClickException(f"unknown prob {prior_name!r}")
-        posterior = bayes_fuzzy_condition(doc.probs[prior_name], f)
+        posterior = bayes_fuzzy_condition(_get(doc.probs, "prob", prior_name), f)
         if app.csv:
             rows = ["point,p"]
             rows += [f"{a},{cnum(v)}" for a, v in zip(atoms, posterior.values)]
@@ -291,7 +275,6 @@ def _statement_outputs(app: App, name: str, statement: VagueStatement,
 @click.option("--method", type=click.Choice(["maxent", "minspec", "both", "check"]),
               default="both", show_default=True)
 @click.pass_obj
-@_credal_errors
 def elicit(app: App, statement_name: str | None, frame_name: str | None,
            core_text: str | None, alpha: float | None, method: str) -> None:
     """Represent a vague 'probably in CORE' statement as committed models."""
@@ -300,19 +283,12 @@ def elicit(app: App, statement_name: str | None, frame_name: str | None,
     if statement_name is not None:
         if any(v is not None for v in inline):
             raise click.UsageError("--statement excludes --frame/--core/--alpha")
-        if statement_name not in doc.statements:
-            raise click.ClickException(f"unknown statement {statement_name!r}")
-        name, statement = statement_name, doc.statements[statement_name]
+        name, statement = statement_name, _get(doc.statements, "statement", statement_name)
     else:
         if any(v is None for v in inline):
             raise click.UsageError(
                 "give either --statement or all of --frame, --core, --alpha")
-        frame = doc.frames.get(frame_name)
-        if frame is None and frame_name in doc.scales:
-            frame = doc.scales[frame_name].frame
-        if frame is None:
-            raise click.ClickException(f"unknown frame {frame_name!r}")
-        statement = VagueStatement(parse_subset(frame, core_text), alpha)
+        statement = VagueStatement(parse_subset(doc.frame_named(frame_name), core_text), alpha)
         name = "elicited"
     if method == "check":
         _emit(app, _bracket_lines(app, bracket_check(statement)))
@@ -324,7 +300,6 @@ def elicit(app: App, statement_name: str | None, frame_name: str | None,
 @click.argument("name")
 @click.argument("subset_text", metavar="SUBSET")
 @click.pass_obj
-@_credal_errors
 def triangle(app: App, name: str, subset_text: str) -> None:
     """Locate a proposition in the uncertainty triangle; always emits one CSV row."""
     mass = _mass_like(app.doc, name)
@@ -337,10 +312,9 @@ def triangle(app: App, name: str, subset_text: str) -> None:
 @main.command()
 @click.argument("name")
 @click.pass_obj
-@_credal_errors
 def cardinality(app: App, name: str) -> None:
     """Expected focal cardinality of a mass (its imprecision)."""
-    mass = _mass_only(app.doc, name)
+    mass = _get(app.doc.masses, "mass", name)
     value = mass.expected_cardinality()
     if app.csv:
         _emit(app, ["mass,expected_cardinality", f"{name},{cnum(value)}"])
@@ -351,10 +325,9 @@ def cardinality(app: App, name: str) -> None:
 @main.command()
 @click.argument("name")
 @click.pass_obj
-@_credal_errors
 def classify(app: App, name: str) -> None:
     """Structural classification of a mass function."""
-    mass = _mass_only(app.doc, name)
+    mass = _get(app.doc.masses, "mass", name)
     result = mass.classify()
     labels = sorted(result.labels)
     if app.csv:
@@ -366,13 +339,9 @@ def classify(app: App, name: str) -> None:
 @main.command()
 @click.argument("name")
 @click.pass_obj
-@_credal_errors
 def check(app: App, name: str) -> None:
     """Exhaustively verify the belief/plausibility bracket of a statement."""
-    doc = app.doc
-    if name not in doc.statements:
-        raise click.ClickException(f"unknown statement {name!r}")
-    _emit(app, _bracket_lines(app, bracket_check(doc.statements[name])))
+    _emit(app, _bracket_lines(app, bracket_check(_get(app.doc.statements, "statement", name))))
 
 
 if __name__ == "__main__":

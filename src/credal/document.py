@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .elicit import VagueStatement
-from .errors import CredalError, DocumentError
+from .errors import CredalError, DocumentError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
 from .frames import Frame, Subset, parse_frame, parse_subset
 from .fuzzy import FuzzySet, NumericScale
@@ -64,6 +64,14 @@ class Document:
                 return name
         return " ".join(frame.atoms)
 
+    def frame_named(self, name: str) -> Frame:
+        """The frame declared as `name`; a scale name works too, its points being atoms."""
+        if name in self.frames:
+            return self.frames[name]
+        if name in self.scales:
+            return self.scales[name].frame
+        raise ValidationError(f"unknown frame {name!r}")
+
 
 def _number(token: str, line: int) -> float:
     try:
@@ -83,16 +91,6 @@ class _Parser:
         if name in table:
             raise DocumentError(f"duplicate {kind} name {name!r}", line)
         return table
-
-    def _frame_ref(self, ref: str, line: int) -> Frame:
-        frame = self.doc.frames.get(ref)
-        if frame is not None:
-            return frame
-        # a scale name works wherever a frame name does: its points are atoms
-        scale = self.doc.scales.get(ref)
-        if scale is not None:
-            return scale.frame
-        raise DocumentError(f"unknown frame {ref!r}", line)
 
     def _close_block(self) -> None:
         if self.block is None:
@@ -133,17 +131,11 @@ class _Parser:
                 f"malformed focal line: {text!r} (expected {{label ...}} weight)", line
             )
         _, frame, assignments, _ = self.block
-        try:
-            subset = frame.subset(m.group("labels").split())
-        except CredalError as exc:
-            raise DocumentError(str(exc), line) from exc
+        subset = frame.subset(m.group("labels").split())
         assignments.append((subset, _number(m.group("weight"), line)))
 
     def _frame(self, text: str, line: int) -> None:
-        try:
-            name, frame = parse_frame(text)
-        except CredalError as exc:
-            raise DocumentError(str(exc), line) from exc
+        name, frame = parse_frame(text)
         self._declare("frame", name, line)[name] = frame
 
     def _scale(self, text: str, line: int) -> None:
@@ -154,11 +146,9 @@ class _Parser:
                 line,
             )
         name = m.group("name")
-        table = self._declare("scale", name, line)
-        try:
-            table[name] = NumericScale(int(m.group("lo")), int(m.group("hi")))
-        except CredalError as exc:
-            raise DocumentError(str(exc), line) from exc
+        self._declare("scale", name, line)[name] = NumericScale(
+            int(m.group("lo")), int(m.group("hi"))
+        )
 
     def _over(self, text: str, line: int) -> None:
         m = _OVER_LINE.match(text)
@@ -175,7 +165,7 @@ class _Parser:
                 raise DocumentError(f"unknown scale {ref!r}", line)
             table[name] = self._fuzzy(scale, name, rest, line)
             return
-        frame = self._frame_ref(ref, line)
+        frame = self.doc.frame_named(ref)
         if kind == "mass":
             if rest:
                 raise DocumentError(
@@ -184,21 +174,12 @@ class _Parser:
             # the entry lands in the table when the block closes
             self.block = (name, frame, [], line)
             return
-        try:
-            if kind == "pi":
-                table[name] = PossibilityDistribution(
-                    frame, [_number(t, line) for t in rest.split()]
-                )
-            elif kind == "prob":
-                table[name] = ProbabilityDistribution(
-                    frame, [_number(t, line) for t in rest.split()]
-                )
-            else:
-                table[name] = self._statement(frame, rest, line)
-        except DocumentError:
-            raise
-        except CredalError as exc:
-            raise DocumentError(str(exc), line) from exc
+        if kind == "pi":
+            table[name] = PossibilityDistribution(frame, [_number(t, line) for t in rest.split()])
+        elif kind == "prob":
+            table[name] = ProbabilityDistribution(frame, [_number(t, line) for t in rest.split()])
+        else:
+            table[name] = self._statement(frame, rest, line)
 
     def _fuzzy(self, scale: NumericScale, name: str, rest: str, line: int) -> FuzzySet:
         pairs = _BREAKPOINT.findall(rest)
@@ -209,10 +190,7 @@ class _Parser:
                 line,
             )
         breakpoints = [(int(x), _number(mu, line)) for x, mu in pairs]
-        try:
-            return FuzzySet.from_breakpoints(scale, breakpoints, name=name)
-        except CredalError as exc:
-            raise DocumentError(str(exc), line) from exc
+        return FuzzySet.from_breakpoints(scale, breakpoints, name=name)
 
     def _statement(self, frame: Frame, rest: str, line: int) -> VagueStatement:
         m = _STATEMENT_REST.match(rest)
@@ -240,6 +218,11 @@ def parse_document(text: str) -> Document:
     """Parse a whole document; errors carry the offending 1-based line number."""
     parser = _Parser()
     for line, raw in enumerate(text.splitlines(), start=1):
-        parser.feed(raw, line)
+        try:
+            parser.feed(raw, line)
+        except DocumentError:
+            raise
+        except CredalError as exc:
+            raise DocumentError(str(exc), line) from exc
     parser._close_block()
     return parser.doc

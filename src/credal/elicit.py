@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .evidence import MassFunction, ProbabilityDistribution
+from .evidence import MassFunction, ProbabilityDistribution, _unit
 from .frames import Subset
 from .possibility import PossibilityDistribution
 
@@ -38,8 +38,7 @@ class VagueStatement:
             raise ValidationError(
                 "statement core is the whole frame and carries no information"
             )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"confidence {self.alpha!r} outside [0, 1]")
+        _unit(self.alpha, "confidence")
 
 
 def maxent_distribution(statement: VagueStatement) -> ProbabilityDistribution:

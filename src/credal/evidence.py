@@ -28,6 +28,22 @@ def _check_same_frame(frame: Frame, value: Subset) -> None:
         raise FrameMismatchError(" ".join(frame.atoms), " ".join(value.frame.atoms))
 
 
+def _unit(value: float, what: str) -> None:
+    """Reject a `value` that does not lie in [0, 1]; `nan` does not."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{what} {value!r} outside [0, 1]")
+
+
+def _grades(frame: Frame, values: Iterable[float], what: str) -> tuple[float, ...]:
+    """Per-atom grades as floats: exactly one per atom of `frame`, each in [0, 1]."""
+    grades = tuple(float(v) for v in values)
+    if len(grades) != len(frame):
+        raise ValidationError(f"expected {len(frame)} {what} values, got {len(grades)}")
+    for v in grades:
+        _unit(v, f"{what} value")
+    return grades
+
+
 class MassFunction:
     """A body of evidence: non-empty focal subsets with positive weights summing to 1.
 
@@ -240,14 +256,7 @@ class ProbabilityDistribution:
     __slots__ = ("frame", "values")
 
     def __init__(self, frame: Frame, values: Iterable[float]):
-        values = tuple(float(v) for v in values)
-        if len(values) != len(frame):
-            raise ValidationError(
-                f"expected {len(frame)} probability values, got {len(values)}"
-            )
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"probability value {v!r} outside [0, 1]")
+        values = _grades(frame, values, "probability")
         total = fsum(values)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"probability values sum to {total!r}, not 1 within {SUM_TOLERANCE}")

@@ -18,7 +18,7 @@ crisp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Sequence
 
 from .errors import ConditioningError, FrameMismatchError, NormalizationError, ValidationError
@@ -67,21 +67,19 @@ class FuzzySet:
     """A named membership function over a scale, one grade per integer point.
 
     Representationally identical to a possibility distribution over the
-    scale's frame; `as_possibility()` makes the identification explicit.
+    scale's frame, and stored as one; `as_possibility()` returns it.
     """
 
-    __slots__ = ("scale", "name", "values")
+    __slots__ = ("scale", "name", "_pi")
 
     def __init__(self, scale: NumericScale, values: Iterable[float], name: str = ""):
-        values = tuple(float(v) for v in values)
-        if len(values) != len(scale):
-            raise ValidationError(f"expected {len(scale)} membership values, got {len(values)}")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"membership value {v!r} outside [0, 1]")
         self.scale = scale
-        self.values = values
         self.name = name
+        self._pi = PossibilityDistribution(scale.frame, values)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self._pi.values
 
     @classmethod
     def from_breakpoints(
@@ -89,14 +87,17 @@ class FuzzySet:
     ) -> FuzzySet:
         """Build a membership function from (x, grade) breakpoints.
 
-        Grades are interpolated linearly between breakpoints, extended flat
-        beyond the first and last, and clamped to [0, 1] afterwards.
-        Breakpoint positions must be strictly increasing.
+        Grades must be finite; they are interpolated linearly between
+        breakpoints, extended flat beyond the first and last, and clamped to
+        [0, 1] afterwards. Breakpoint positions must be strictly increasing.
         """
         if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
         xs = [float(x) for x, _ in breakpoints]
         ys = [float(y) for _, y in breakpoints]
+        for y in ys:
+            if not isfinite(y):
+                raise ValidationError(f"non-finite breakpoint grade {y!r}")
         for a, b in zip(xs, xs[1:]):
             if b <= a:
                 raise ValidationError(f"breakpoint positions must increase (got {a} then {b})")
@@ -119,10 +120,10 @@ class FuzzySet:
 
     @property
     def is_normalized(self) -> bool:
-        return self.as_possibility().is_normalized
+        return self._pi.is_normalized
 
     def as_possibility(self) -> PossibilityDistribution:
-        return PossibilityDistribution(self.scale.frame, self.values)
+        return self._pi
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FuzzySet):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NormalizationError, ValidationError
-from .evidence import EQ_TOLERANCE, MassFunction, _check_same_frame
+from .errors import NormalizationError
+from .evidence import EQ_TOLERANCE, MassFunction, _check_same_frame, _grades
 from .frames import Frame, Subset
 
 
@@ -29,12 +29,7 @@ class PossibilityDistribution:
     __slots__ = ("frame", "values", "is_normalized")
 
     def __init__(self, frame: Frame, values: Iterable[float]):
-        values = tuple(float(v) for v in values)
-        if len(values) != len(frame):
-            raise ValidationError(f"expected {len(frame)} possibility values, got {len(values)}")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"possibility value {v!r} outside [0, 1]")
+        values = _grades(frame, values, "possibility")
         self.frame = frame
         self.values = values
         self.is_normalized = (1.0 - max(values)) <= EQ_TOLERANCE

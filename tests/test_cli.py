@@ -1,8 +1,10 @@
 import os
+import re
 import shlex
 import subprocess
 import sys
 import textwrap
+from math import isfinite
 
 import pytest
 from click.testing import CliRunner
@@ -269,6 +271,14 @@ class TestSimpleCommands:
         assert "unknown statement 'ghost'" in result.stderr
 
 
+def two_weights(a: str, b: str) -> bytes:
+    return f"frame w: a b\nmass m over w:\n  {{a}} {a}\n  {{b}} {b}\n".encode()
+
+
+def fuzzy_grade(grade: str) -> bytes:
+    return f"scale age: 1..3\nfuzzy y over age: (1,1.0) (2,{grade}) (3,0.0)\n".encode()
+
+
 class TestPlumbing:
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "result.txt"
@@ -284,20 +294,34 @@ class TestPlumbing:
         assert result.stderr.startswith("Error: line 2:")
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("weights,message", [
-        (("nan", "1.0"), "line 2: non-finite focal weight nan"),
-        (("inf", "1.0"), "line 2: non-finite focal weight inf"),
-        (("1e308", "1e308"), "line 2: focal weights sum to inf"),
-    ])
-    def test_non_finite_weight_is_one_line(self, weights, message):
-        doc = f"frame w: a b\nmass m over w:\n  {{a}} {weights[0]}\n  {{b}} {weights[1]}\n"
-        for argv in (["query", "Bel", "m", "{a}"], ["classify", "m"]):
-            result = run(*argv, doc=doc, expect_exit=1)
-            assert isinstance(result.exception, SystemExit)
-            assert result.stdout == ""
-            assert result.stderr.startswith(f"Error: {message}")
-            assert len(result.stderr.splitlines()) == 1
-            assert "Traceback" not in result.stderr
+    # (document, argv after --doc -, start of the one stderr line); TMP is a fresh
+    # directory that must stay empty: --out opens its file only on the first write
+    BAD_INPUT = [
+        (two_weights("nan", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight nan"),
+        (two_weights("nan", "1.0"), ["classify", "m"], "line 2: non-finite focal weight nan"),
+        (two_weights("inf", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight inf"),
+        (two_weights("inf", "1.0"), ["classify", "m"], "line 2: non-finite focal weight inf"),
+        (two_weights("1e308", "1e308"), ["query", "Bel", "m", "{a}"], "line 2: focal weights sum to inf"),
+        (two_weights("1e308", "1e308"), ["classify", "m"], "line 2: focal weights sum to inf"),
+        (two_weights("0.5", "0.5"), ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'"),
+        (fuzzy_grade("nan"), ["condition", "y"], "line 2: non-finite breakpoint grade nan"),
+        (fuzzy_grade("inf"), ["condition", "y"], "line 2: non-finite breakpoint grade inf"),
+        (fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf"),
+        (b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode"),
+        (two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
+         "Could not open file 'TMP/missing/x': No such file or directory"),
+    ]
+
+    @pytest.mark.parametrize("doc,argv,message", BAD_INPUT)
+    def test_bad_input_is_one_line(self, tmp_path, doc, argv, message):
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        result = run(*argv, doc=doc, expect_exit=1)
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("Error: " + message.replace("TMP", str(tmp_path)))
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_doc_is_usage_error(self):
         result = CliRunner().invoke(main, ["classify", "nested"])
@@ -308,6 +332,49 @@ class TestPlumbing:
             main, ["--doc", "samples/horse_race.txt", "cardinality", "horse_leaky"])
         assert result.exit_code == 0
         assert result.output == "expected cardinality = 2.2\n"
+
+
+DECIMAL = re.compile(r"(?<![\w.])\d+\.\d+(?![\w.])")
+
+
+def swept_documents(text: str):
+    """The document with each decimal token outside comments, in turn, made extreme."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("#"):
+            continue
+        for m in DECIMAL.finditer(line):
+            for token in ("nan", "inf", "-inf", "1e308"):
+                swept = line[:m.start()] + token + line[m.end():]
+                yield swept, "".join(lines[:i] + [swept] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("session", sorted(REPO_ROOT.glob("samples/*.session")),
+                         ids=lambda path: path.stem)
+def test_extreme_values_give_finite_output_or_one_error_line(session):
+    """Every session command on every swept document: finite stdout, or one `Error:` line."""
+    commands = [argv for _, argv, _ in parse_session(session)]
+    [doc_path] = {argv[1] for argv in commands}
+    runner = CliRunner()
+    documents = list(swept_documents((REPO_ROOT / doc_path).read_text()))
+    assert documents
+    for swept, doc in documents:
+        for argv in commands:
+            result = runner.invoke(main, ["--doc", "-", *argv[2:]], input=doc)
+            where = f"{swept.strip()!r} with {argv[2:]}: {result.stdout!r} {result.stderr!r}"
+            if result.exit_code == 0:
+                for token in re.split(r"[\s,:=(){}]+", result.stdout):
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        continue
+                    assert isfinite(value), where
+                continue
+            assert result.exit_code in (1, 2), where
+            assert isinstance(result.exception, SystemExit), where
+            lines = result.stderr.splitlines()
+            assert [line for line in lines if line.startswith("Error: ")] == lines[-1:], where
+            assert result.exit_code == 2 or len(lines) == 1, where
 
 
 class TestStartup:

@@ -81,6 +81,11 @@ class TestFuzzySet:
         with pytest.raises(ValidationError, match="increase"):
             FuzzySet.from_breakpoints(age, [(24, 1.0), (24, 0.5)])
 
+    @pytest.mark.parametrize("grade", [float("nan"), float("inf"), float("-inf")])
+    def test_breakpoint_grades_must_be_finite(self, age, grade):
+        with pytest.raises(ValidationError, match=f"non-finite breakpoint grade {grade!r}"):
+            FuzzySet.from_breakpoints(age, [(20, 1.0), (24, grade), (29, 0.0)])
+
     def test_breakpoints_required(self, age):
         with pytest.raises(ValidationError, match="breakpoint"):
             FuzzySet.from_breakpoints(age, [])
