@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .elicit import VagueStatement
 from .errors import CredalError, DocumentError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
-from .frames import Frame, Subset, parse_frame, parse_subset
+from .frames import Frame, parse_frame
 from .fuzzy import FuzzySet, NumericScale
 from .possibility import PossibilityDistribution
 
@@ -83,8 +83,8 @@ def _number(token: str, line: int) -> float:
 class _Parser:
     def __init__(self) -> None:
         self.doc = Document()
-        # open mass block, if any: (name, frame, assignments, header line)
-        self.block: tuple[str, Frame, list[tuple[Subset, float]], int] | None = None
+        # open mass block, if any: (name, frame, (mask, weight) pairs, header line)
+        self.block: tuple[str, Frame, list[tuple[int, float]], int] | None = None
 
     def _declare(self, kind: str, name: str, line: int) -> dict:
         table: dict = getattr(self.doc, _TABLES[kind])
@@ -100,7 +100,7 @@ class _Parser:
         if not assignments:
             raise DocumentError(f"mass {name!r} declares no focal elements", header)
         try:
-            self.doc.masses[name] = MassFunction(frame, assignments)
+            self.doc.masses[name] = MassFunction._from_masks(frame, assignments)
         except CredalError as exc:
             raise DocumentError(str(exc), header) from exc
 
@@ -131,8 +131,8 @@ class _Parser:
                 f"malformed focal line: {text!r} (expected {{label ...}} weight)", line
             )
         _, frame, assignments, _ = self.block
-        subset = frame.subset(m.group("labels").split())
-        assignments.append((subset, _number(m.group("weight"), line)))
+        mask = frame._mask(m.group("labels").split())
+        assignments.append((mask, _number(m.group("weight"), line)))
 
     def _frame(self, text: str, line: int) -> None:
         name, frame = parse_frame(text)

@@ -58,10 +58,27 @@ class MassFunction:
     def __init__(self, frame: Frame, assignments: Mapping[Subset, float] | Iterable[tuple[Subset, float]]):
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
+
+        def pairs() -> Iterator[tuple[int, float]]:
+            # lazy, so each pair's frame check runs just before that pair's weight checks
+            for subset, weight in assignments:
+                _check_same_frame(frame, subset)
+                yield subset.mask, weight
+
+        self._set(frame, pairs())
+
+    @classmethod
+    def _from_masks(cls, frame: Frame, pairs: Iterable[tuple[int, float]]) -> MassFunction:
+        """Build from (mask, weight) pairs whose masks already lie in `frame`'s powerset."""
+        mass = cls.__new__(cls)
+        mass._set(frame, pairs)
+        return mass
+
+    def _set(self, frame: Frame, pairs: Iterable[tuple[int, float]]) -> None:
+        """The checks of both constructors: merge, drop zeros, validate, normalize."""
         merged: dict[int, float] = {}
-        for subset, weight in assignments:
-            _check_same_frame(frame, subset)
-            if subset.mask == 0:
+        for mask, weight in pairs:
+            if mask == 0:
                 raise ValidationError("focal element is the contradiction (empty set)")
             if not isfinite(weight):
                 raise ValidationError(f"non-finite focal weight {weight!r}")
@@ -69,7 +86,7 @@ class MassFunction:
                 raise ValidationError(f"negative focal weight {weight!r}")
             if weight == 0.0:
                 continue
-            merged[subset.mask] = merged.get(subset.mask, 0.0) + weight
+            merged[mask] = merged.get(mask, 0.0) + weight
         try:
             total = fsum(merged.values())
         except OverflowError:
@@ -77,11 +94,8 @@ class MassFunction:
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"focal weights sum to {total!r}, not 1 within {SUM_TOLERANCE}")
         self.frame = frame
-        # canonical focal order: by cardinality, then by mask
-        self._weights = {
-            mask: merged[mask] / total
-            for mask in sorted(merged, key=lambda m: (m.bit_count(), m))
-        }
+        # canonical focal order: by cardinality, then by mask (the second sort is stable)
+        self._weights = {mask: merged[mask] / total for mask in sorted(sorted(merged), key=int.bit_count)}
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:

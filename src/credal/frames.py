@@ -37,7 +37,7 @@ class Frame:
     """
 
     atoms: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -55,7 +55,7 @@ class Frame:
                 raise ValidationError(f"duplicate label {label!r}")
             seen.add(label)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
+        object.__setattr__(self, "_bits", {a: 1 << i for i, a in enumerate(atoms)})
 
     @property
     def size(self) -> int:
@@ -69,20 +69,25 @@ class Frame:
 
     def index(self, label: str) -> int:
         """Position of a label, raising for labels outside the frame."""
+        return self._mask((label,)).bit_length() - 1
+
+    def _mask(self, labels: Iterable[str]) -> int:
+        """Bitmask of the named atoms (duplicates collapse), raising for labels outside the frame."""
+        bits = self._bits
+        mask = 0
         try:
-            return self._index[label]
-        except KeyError:
-            raise ValidationError(f"unknown label {label!r}") from None
+            for label in labels:
+                mask |= bits[label]
+        except KeyError as exc:
+            raise ValidationError(f"unknown label {exc.args[0]!r}") from None
+        return mask
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """The subset containing exactly the named atoms (duplicates collapse)."""
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return Subset(self, mask)
+        return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:
-        return Subset(self, 1 << self.index(label))
+        return self.subset((label,))
 
     @property
     def empty(self) -> Subset:

@@ -89,15 +89,17 @@ class FuzzySet:
 
         Grades must be finite; they are interpolated linearly between
         breakpoints, extended flat beyond the first and last, and clamped to
-        [0, 1] afterwards. Breakpoint positions must be strictly increasing.
+        [0, 1] afterwards. Breakpoint positions must be finite and strictly
+        increasing.
         """
         if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
         xs = [float(x) for x, _ in breakpoints]
         ys = [float(y) for _, y in breakpoints]
-        for y in ys:
-            if not isfinite(y):
-                raise ValidationError(f"non-finite breakpoint grade {y!r}")
+        for what, values in (("grade", ys), ("position", xs)):
+            for v in values:
+                if not isfinite(v):
+                    raise ValidationError(f"non-finite breakpoint {what} {v!r}")
         for a, b in zip(xs, xs[1:]):
             if b <= a:
                 raise ValidationError(f"breakpoint positions must increase (got {a} then {b})")

@@ -33,7 +33,7 @@ from credal import (
     pi_to_mass,
 )
 from credal.cli import main
-from credal.oracles import (
+from oracles import (
     maximize_entropy,
     sample_feasible_distributions,
     sample_feasible_mass_cardinalities,

@@ -1,8 +1,10 @@
 import textwrap
+from math import fsum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from credal import DocumentError, parse_document
+from credal import DocumentError, MassFunction, parse_document
 
 FULL_DOC = textwrap.dedent("""\
     # a frame, ways of weighing it, and a scale with a vague predicate
@@ -78,6 +80,16 @@ class TestHappyPath:
         doc = parse_document("scale z: -3..3")
         assert list(doc.scales["z"].points) == list(range(-3, 4))
 
+    def test_repeated_label_collapses(self):
+        doc = parse_document("frame w: a b\nmass m over w:\n{a a} 1.0")
+        frame = doc.frames["w"]
+        assert list(doc.masses["m"].focal_elements()) == [(frame.singleton("a"), 1.0)]
+
+    def test_lines_naming_one_set_merge(self):
+        doc = parse_document("frame w: a b\nmass m over w:\n{a} 0.25\n{a b} 0.5\n{b a} 0.25")
+        frame = doc.frames["w"]
+        assert list(doc.masses["m"].focal_elements()) == [(frame.singleton("a"), 0.25), (frame.full, 0.75)]
+
 
 class TestErrors:
     def error(self, text: str) -> str:
@@ -130,6 +142,18 @@ class TestErrors:
         assert msg.startswith("line 3:")
         assert "unknown" in msg
 
+    def test_label_of_another_frame_in_focal(self):
+        msg = self.error("frame w: a b\nframe v: c d\nmass m over w:\n{a} 0.5\n{a c} 0.5")
+        assert msg == "line 5: unknown label 'c'"
+
+    def test_empty_focal_reports_header_line(self):
+        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{} 0.5")
+        assert msg == "line 2: focal element is the contradiction (empty set)"
+
+    def test_nan_weight_reports_header_line(self):
+        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{b} nan")
+        assert msg == "line 2: non-finite focal weight nan"
+
     def test_bad_number(self):
         assert "not a number: 'x'" in self.error("frame w: a b\npi p over w: 1 x")
 
@@ -163,3 +187,40 @@ class TestErrors:
     def test_line_numbers_count_comments_and_blanks(self):
         msg = self.error("# one\n\n# three\npi p over v: 1 0")
         assert msg.startswith("line 4:")
+
+
+@st.composite
+def mass_document(draw):
+    """Document text for one mass over a 1-64 atom frame, plus its focal lines as (labels, weight).
+
+    Lines draw from a small pool of sets, so some name one set twice; labels
+    come in any order, may repeat, and weights reach down to 1e-300.
+    """
+    n = draw(st.integers(min_value=1, max_value=64))
+    atoms = [f"a{i}" for i in range(n)]
+    pool = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=6))
+    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    raw = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=len(masks), max_size=len(masks)))
+    total = fsum(raw)
+    lines = []
+    for mask, w in zip(masks, raw):
+        labels = [a for i, a in enumerate(atoms) if mask >> i & 1]
+        labels = draw(st.permutations(labels + draw(st.lists(st.sampled_from(labels), max_size=2))))
+        lines.append((labels, w / total))
+    text = "\n".join([f"frame w: {' '.join(atoms)}", "mass m over w:"]
+                     + [f"  {{{' '.join(labels)}}} {w!r}" for labels, w in lines])
+    return text, lines
+
+
+@given(mass_document(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parsed_mass_matches_public_constructor_and_duality(doc_lines, data):
+    text, lines = doc_lines
+    doc = parse_document(text)
+    frame, mass = doc.frames["w"], doc.masses["m"]
+    public = MassFunction(frame, [(frame.subset(labels), w) for labels, w in lines])
+    assert list(mass.focal_elements()) == list(public.focal_elements())
+    full = (1 << len(frame)) - 1
+    for mask in data.draw(st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=8)):
+        a = frame.from_mask(mask)
+        assert abs(mass.plausibility(a) - (1.0 - mass.belief(a.complement()))) <= 1e-12

@@ -15,7 +15,7 @@ from credal import (
     minspec_mass,
     pi_to_mass,
 )
-from credal.oracles import maximize_entropy, shannon_entropy
+from oracles import maximize_entropy, shannon_entropy
 
 TOL = 1e-12
 

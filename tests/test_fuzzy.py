@@ -1,5 +1,5 @@
 import random
-from math import fsum
+from math import fsum, isfinite
 
 import pytest
 
@@ -85,6 +85,16 @@ class TestFuzzySet:
     def test_breakpoint_grades_must_be_finite(self, age, grade):
         with pytest.raises(ValidationError, match=f"non-finite breakpoint grade {grade!r}"):
             FuzzySet.from_breakpoints(age, [(20, 1.0), (24, grade), (29, 0.0)])
+
+    @pytest.mark.parametrize("breakpoints", [
+        [(float("nan"), 1.0), (25, 0.0)],
+        [(20, 1.0), (float("inf"), 0.0)],
+        [(float("-inf"), 1.0), (25, 0.0)],
+    ])
+    def test_breakpoint_positions_must_be_finite(self, age, breakpoints):
+        x = next(x for x, _ in breakpoints if not isfinite(x))
+        with pytest.raises(ValidationError, match=f"non-finite breakpoint position {x!r}"):
+            FuzzySet.from_breakpoints(age, breakpoints)
 
     def test_breakpoints_required(self, age):
         with pytest.raises(ValidationError, match="breakpoint"):

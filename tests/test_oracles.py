@@ -15,7 +15,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import entropy as scipy_entropy
 from scipy.stats import kstest
 
-from credal.oracles import (
+from oracles import (
     maximize_entropy,
     project_feasible,
     project_to_scaled_simplex,
