@@ -1,10 +1,13 @@
-"""Independent numerical oracles for the elicitation closed forms.
+"""Independent numerical oracles for the elicitation closed forms and the powerset tables.
 
 Nothing in this module knows the closed-form answers: the entropy maximizer
 is a generic projected gradient ascent over the probability simplex with a
 lower-bound constraint on one group's total, and the samplers draw from the
 corresponding feasible sets. They exist so the closed forms elsewhere can be
-checked against machinery that cannot share their mistakes.
+checked against machinery that cannot share their mistakes. The reference
+zeta transform walks the powerset one element at a time, the plainest form
+of the adds the library's sliced kernel does; its Moebius inverse runs on
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -180,4 +183,26 @@ def sample_feasible_mass_cardinalities(
         out += alpha * group_mean_size(inside, used_in)
     if alpha < 1.0:
         out += (1.0 - alpha) * group_mean_size(outside, used_out)
+    return out
+
+
+def reference_zeta(n: int, seeds: dict[int, float]) -> list[float]:
+    """Subset-sum table by the element loop: t[mask] = sum of seeds over submasks of mask."""
+    table = [0.0] * (1 << n)
+    for mask, w in seeds.items():
+        table[mask] += w
+    for bit in range(n):
+        step = 1 << bit
+        for m in range(1 << n):
+            if m & step:
+                table[m] += table[m ^ step]
+    return table
+
+
+def reference_moebius(n: int, table: Sequence[float]) -> np.ndarray:
+    """Inverse of `reference_zeta`: the weights whose subset sums are `table`."""
+    out = np.array(table, dtype=float)
+    for bit in range(n):
+        halves = out.reshape(-1, 2, 1 << bit)
+        halves[:, 1, :] -= halves[:, 0, :]
     return out

@@ -391,10 +391,18 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
-    def test_bracket_check_still_loads_numpy(self):
+    def test_bracket_check_prints_the_transcript(self):
         argv = "--doc samples/statement10.txt --csv check s1"
         [expected] = [out for line, _, out in parse_session(REPO_ROOT / "samples/statement10.session")
                       if line == f"credal {argv}"]
         result = self.python("-m", "credal.cli", *shlex.split(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout == expected
+
+    def test_sample_bracket_check_leaves_numpy_unloaded(self):
+        # a 10-atom check runs on plain lists; only frames above 11 atoms load numpy
+        code = ("import sys; from credal.cli import main; "
+                "main(sys.argv[1:], standalone_mode=False); print('numpy' in sys.modules)")
+        result = self.python("-c", code, "--doc", "samples/statement10.txt", "check", "s1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"

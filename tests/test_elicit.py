@@ -4,6 +4,7 @@ from math import fsum
 import numpy as np
 import pytest
 
+from credal import elicit
 from credal import (
     Frame,
     MassFunction,
@@ -186,6 +187,25 @@ class TestBracket:
         with pytest.raises(ValidationError, match="capped"):
             bracket_check(s)
         bracket_check(s, max_frame_size=21)
+
+    def test_list_and_numpy_paths_agree_bit_for_bit(self, monkeypatch):
+        # the samples print max violations such as 2.22045e-16, so rounding shows
+        rng = random.Random(89)
+        for n in range(2, 14):
+            frame = Frame([f"w{i}" for i in range(n)])
+            for alpha in [0.0, 1e-17, 0.5, 0.8, 0.999999, 1.0] * 3:
+                s = VagueStatement(frame.from_mask(rng.randint(1, (1 << n) - 2)), alpha)
+                reports = []
+                for limit in (64, 0):  # every frame on plain lists, then every frame on numpy
+                    monkeypatch.setattr(elicit, "_PURE_CHECK_MAX_ATOMS", limit)
+                    reports.append(bracket_check(s))
+                lists, arrays = reports
+                where = (n, alpha, s.core.mask)
+                assert lists.holds == arrays.holds, where
+                assert lists.subsets_checked == arrays.subsets_checked, where
+                assert lists.tightest_subset.mask == arrays.tightest_subset.mask, where
+                assert lists.max_violation.hex() == arrays.max_violation.hex(), where
+                assert lists.tightest_width.hex() == arrays.tightest_width.hex(), where
 
     def test_tables_agree_with_pointwise_measures(self, w10):
         # the subset-sum machinery must agree with the direct definitions

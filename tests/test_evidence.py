@@ -14,6 +14,7 @@ from credal import (
     ValidationError,
     make_mass,
 )
+from oracles import reference_moebius, reference_zeta
 
 TOL = 1e-12
 
@@ -329,3 +330,49 @@ def test_monotonicity_under_inclusion(fm):
                 below = mask ^ (1 << i)
                 assert bel[below] <= bel[mask] + TOL
                 assert pl[below] <= pl[mask] + TOL
+
+
+@pytest.mark.parametrize("n", [21, 64])
+def test_tables_on_large_frames_are_refused(n):
+    m = MassFunction.vacuous(Frame([f"w{i}" for i in range(n)]))
+    for table in (m.belief_table, m.plausibility_table):
+        with pytest.raises(ValidationError, match=f"frame has {n} atoms; powerset tables are capped at 20"):
+            table()
+
+
+# weights far below the rest: subnormals, 1e-300 and 1e-17, which vanish next to 1 in a sum
+tiny_weights = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+    st.sampled_from([5e-324, 1e-300, 1e-17]),
+)
+
+
+@st.composite
+def mass_with_tiny_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    frame = Frame([f"w{i}" for i in range(n)])
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=10, unique=True))
+    weights = [draw(st.floats(min_value=0.01, max_value=1.0))]
+    weights += [draw(st.one_of(st.floats(min_value=0.01, max_value=1.0), tiny_weights)) for _ in masks[1:]]
+    total = fsum(weights)
+    return frame, MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
+
+
+@given(mass_with_tiny_weights())
+@settings(max_examples=20, deadline=None)
+def test_tables_equal_the_element_loop_bit_for_bit(fm):
+    frame, m = fm
+    n = len(frame)
+    weights = {subset.mask: w for subset, w in m.focal_elements()}
+    ref = reference_zeta(n, weights)
+    full = (1 << n) - 1
+    ref_pl = [ref[full] - ref[full ^ mask] for mask in range(full + 1)]
+    bel = m.belief_table()
+    assert list(map(float.hex, bel)) == list(map(float.hex, ref))
+    assert list(map(float.hex, m.plausibility_table())) == list(map(float.hex, ref_pl))
+    # Bel table -> Moebius -> masses
+    expected = [0.0] * (full + 1)
+    for mask, w in weights.items():
+        expected[mask] = w
+    assert max(abs(reference_moebius(n, bel) - expected)) <= TOL
