@@ -39,7 +39,16 @@ _STATEMENT_REST = re.compile(
 )
 _BREAKPOINT = re.compile(r"\(\s*(-?\d+)\s*,\s*([^\s(),]+)\s*\)")
 
-_KIND_WORDS = {"frame", "scale", "mass", "pi", "prob", "fuzzy", "statement"}
+# the Document table that holds each kind of declaration
+_TABLES = {
+    "frame": "frames",
+    "scale": "scales",
+    "mass": "masses",
+    "pi": "pis",
+    "prob": "probs",
+    "fuzzy": "fuzzies",
+    "statement": "statements",
+}
 
 
 @dataclass
@@ -85,12 +94,21 @@ class _Parser:
         self.doc = Document()
         # open mass block, if any: (name, frame, (mask, weight) pairs, header line)
         self.block: tuple[str, Frame, list[tuple[int, float]], int] | None = None
+        # the declaration that owns each frame's atoms, e.g. "frame 'w'"
+        self.owners: dict[Frame, str] = {}
 
     def _declare(self, kind: str, name: str, line: int) -> dict:
         table: dict = getattr(self.doc, _TABLES[kind])
         if name in table:
             raise DocumentError(f"duplicate {kind} name {name!r}", line)
         return table
+
+    def _claim(self, kind: str, name: str, frame: Frame, line: int) -> None:
+        """Give the frame's atoms to this declaration alone, so frame_name finds it."""
+        owner = self.owners.get(frame)
+        if owner is not None:
+            raise DocumentError(f"{kind} {name!r} repeats the atoms of {owner}", line)
+        self.owners[frame] = f"{kind} {name!r}"
 
     def _close_block(self) -> None:
         if self.block is None:
@@ -117,7 +135,7 @@ class _Parser:
             self._frame(text, line)
         elif word == "scale":
             self._scale(text, line)
-        elif word in _KIND_WORDS:
+        elif word in _TABLES:
             self._over(text, line)
         else:
             raise DocumentError(f"unrecognized declaration: {text!r}", line)
@@ -136,7 +154,9 @@ class _Parser:
 
     def _frame(self, text: str, line: int) -> None:
         name, frame = parse_frame(text)
-        self._declare("frame", name, line)[name] = frame
+        table = self._declare("frame", name, line)
+        self._claim("frame", name, frame, line)
+        table[name] = frame
 
     def _scale(self, text: str, line: int) -> None:
         m = _SCALE_LINE.match(text)
@@ -146,9 +166,10 @@ class _Parser:
                 line,
             )
         name = m.group("name")
-        self._declare("scale", name, line)[name] = NumericScale(
-            int(m.group("lo")), int(m.group("hi"))
-        )
+        table = self._declare("scale", name, line)
+        scale = NumericScale(int(m.group("lo")), int(m.group("hi")))
+        self._claim("scale", name, scale.frame, line)
+        table[name] = scale
 
     def _over(self, text: str, line: int) -> None:
         m = _OVER_LINE.match(text)
@@ -201,17 +222,6 @@ class _Parser:
             )
         core = frame.subset(m.group("labels").split())
         return VagueStatement(core, _number(m.group("alpha"), line))
-
-
-_TABLES = {
-    "frame": "frames",
-    "scale": "scales",
-    "mass": "masses",
-    "pi": "pis",
-    "prob": "probs",
-    "fuzzy": "fuzzies",
-    "statement": "statements",
-}
 
 
 def parse_document(text: str) -> Document:

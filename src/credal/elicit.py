@@ -122,21 +122,19 @@ def _subset_sum_table(n: int, seeds: dict[int, float]) -> np.ndarray:
     return table
 
 
-def bracket_check(
-    statement: VagueStatement, *, max_frame_size: int = TABLE_MAX_ATOMS
-) -> BracketReport:
+def bracket_check(statement: VagueStatement) -> BracketReport:
     """Verify Bel(A) <= P(A) <= Pl(A) over every subset of the frame.
 
     P is the max-entropy distribution and Bel, Pl come from the
-    min-specificity mass. Exhaustive, hence capped at max_frame_size atoms.
+    min-specificity mass. Exhaustive, hence capped at TABLE_MAX_ATOMS atoms.
     The tightest width is taken over contingent subsets only; the empty set
     and the whole frame bracket exactly by construction.
     """
     frame = statement.core.frame
     n = len(frame)
-    if n > max_frame_size:
+    if n > TABLE_MAX_ATOMS:
         raise ValidationError(
-            f"frame has {n} atoms; exhaustive check is capped at {max_frame_size}"
+            f"frame has {n} atoms; exhaustive check is capped at {TABLE_MAX_ATOMS}"
         )
     p = maxent_distribution(statement)
     mass, _ = minspec_mass(statement)

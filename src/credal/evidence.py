@@ -16,19 +16,14 @@ from math import fsum, isfinite
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .errors import FrameMismatchError, ValidationError
-from .frames import Frame, Subset
+from .errors import ValidationError
+from .frames import Frame, Subset, _check_same_frame
 
 SUM_TOLERANCE = 1e-6
 #: Tolerance for float comparisons on derived quantities (duality, region tests).
 EQ_TOLERANCE = 1e-12
 #: Largest frame whose powerset tables are built: 2^20 cells take 1-2 s and ~70 MB at peak.
 TABLE_MAX_ATOMS = 20
-
-
-def _check_same_frame(frame: Frame, value: Subset) -> None:
-    if value.frame != frame:
-        raise FrameMismatchError(" ".join(frame.atoms), " ".join(value.frame.atoms))
 
 
 def _unit(value: float, what: str) -> None:
@@ -93,7 +88,7 @@ class MassFunction:
         def pairs() -> Iterator[tuple[int, float]]:
             # lazy, so each pair's frame check runs just before that pair's weight checks
             for subset, weight in assignments:
-                _check_same_frame(frame, subset)
+                _check_same_frame(frame, subset.frame)
                 yield subset.mask, weight
 
         self._set(frame, pairs())
@@ -152,12 +147,12 @@ class MassFunction:
 
     def weight_of(self, subset: Subset) -> float:
         """The weight directly assigned to a subset (0 when not focal)."""
-        _check_same_frame(self.frame, subset)
+        _check_same_frame(self.frame, subset.frame)
         return self._weights.get(subset.mask, 0.0)
 
     def belief(self, a: Subset) -> float:
         """Total weight of focal elements contained in `a` (lower probability)."""
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         return fsum(w for mask, w in self._weights.items() if mask & ~a.mask == 0)
 
     def plausibility(self, a: Subset) -> float:
@@ -165,7 +160,7 @@ class MassFunction:
 
         Equals 1 minus the belief of the complement.
         """
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         return fsum(w for mask, w in self._weights.items() if mask & a.mask)
 
     def belief_table(self) -> list[float]:
@@ -216,7 +211,7 @@ class MassFunction:
         tag follows the triangle geometry with vertex labels taking
         precedence over edges and edges over the interior.
         """
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         if a.is_empty or a.is_full:
             raise ValidationError("triangle point requires a contingent proposition (not empty, not full)")
         x = self.belief(a)
@@ -314,7 +309,7 @@ class ProbabilityDistribution:
 
     def probability_of(self, a: Subset) -> float:
         """P(A): the summed weight of the member atoms."""
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         return fsum(v for i, v in enumerate(self.values) if a.mask >> i & 1)
 
     def as_mass(self) -> MassFunction:

@@ -106,6 +106,12 @@ class Frame:
             yield Subset(self, mask)
 
 
+def _check_same_frame(frame: Frame, other: Frame) -> None:
+    """Raise FrameMismatchError unless `other` equals `frame`."""
+    if other != frame:
+        raise FrameMismatchError(" ".join(frame.atoms), " ".join(other.atoms))
+
+
 @dataclass(frozen=True)
 class Subset:
     """A set of atoms of one frame, i.e. the model set of a proposition.
@@ -122,8 +128,7 @@ class Subset:
             raise ValidationError(f"subset mask {self.mask:#x} outside the frame's powerset")
 
     def _coerce(self, other: Subset) -> Subset:
-        if self.frame != other.frame:
-            raise FrameMismatchError(" ".join(self.frame.atoms), " ".join(other.frame.atoms))
+        _check_same_frame(self.frame, other.frame)
         return other
 
     @property

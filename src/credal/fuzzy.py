@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from math import fsum, isfinite
 from typing import Iterable, Sequence
 
-from .errors import ConditioningError, FrameMismatchError, NormalizationError, ValidationError
+from .errors import ConditioningError, NormalizationError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
-from .frames import Frame, MAX_ATOMS
+from .frames import Frame, MAX_ATOMS, _check_same_frame
 from .possibility import PossibilityDistribution
 
 NULL_EVENT_TOLERANCE = 1e-12
@@ -150,9 +150,7 @@ def membership_from_random_set(meaning: MassFunction, x: int | str) -> float:
 
 def fuzzy_event_probability(f: FuzzySet, prior: ProbabilityDistribution) -> float:
     """Probability of a fuzzy event: the expectation of the membership function."""
-    frame = f.scale.frame
-    if prior.frame != frame:
-        raise FrameMismatchError(" ".join(frame.atoms), " ".join(prior.frame.atoms))
+    _check_same_frame(f.scale.frame, prior.frame)
     return fsum(mu * p for mu, p in zip(f.values, prior.values))
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NormalizationError
-from .evidence import EQ_TOLERANCE, MassFunction, _check_same_frame, _grades
-from .frames import Frame, Subset
+from .evidence import EQ_TOLERANCE, MassFunction, _grades
+from .frames import Frame, Subset, _check_same_frame
 
 
 class PossibilityDistribution:
@@ -44,13 +44,13 @@ class PossibilityDistribution:
 
     def possibility_of(self, a: Subset) -> float:
         """Possibility of a proposition: the highest grade among its atoms (0 for the empty set)."""
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         members = [v for i, v in enumerate(self.values) if a.mask >> i & 1]
         return max(members) if members else 0.0
 
     def necessity_of(self, a: Subset) -> float:
         """Necessity of a proposition: 1 minus the possibility of its complement (1 for the full frame)."""
-        _check_same_frame(self.frame, a)
+        _check_same_frame(self.frame, a.frame)
         outside = [1.0 - v for i, v in enumerate(self.values) if not a.mask >> i & 1]
         return min(outside) if outside else 1.0
 

@@ -95,6 +95,11 @@ class TestQuery:
         result = run("query", "Bel", "ghost", "{w1}", expect_exit=1)
         assert "unknown mass or prob 'ghost'" in result.stderr
 
+    def test_name_of_both_a_mass_and_a_prob(self):
+        doc = "frame w: a b\nmass x over w:\n  {a} 1\nprob x over w: 0.5 0.5\n"
+        result = run("query", "Bel", "x", "{a}", doc=doc, expect_exit=1)
+        assert result.stderr == "Error: 'x' names both a mass and a prob; rename one of them\n"
+
     def test_pi_measure_needs_pi_object(self):
         result = run("query", "Pi", "nested", "{w1}", expect_exit=1)
         assert "unknown pi 'nested'" in result.stderr
@@ -137,6 +142,15 @@ class TestConvert:
         out = run("--csv", "convert", "ramp").output
         assert out.splitlines()[0] == "subset,weight"
         assert "{w1 w2},0.400000" in out
+
+    def test_csv_mass_to_pi(self):
+        out = run("--csv", "convert", "nested").output
+        assert out == "atom,value\nw1,1.000000\nw2,0.500000\nw3,0.200000\n"
+
+    def test_name_of_both_a_pi_and_a_mass(self):
+        doc = "frame w: a b\nmass x over w:\n  {a} 1\npi x over w: 1 0.5\n"
+        result = run("convert", "x", doc=doc, expect_exit=1)
+        assert result.stderr == "Error: 'x' names both a pi and a mass; rename one of them\n"
 
     def test_unknown_name(self):
         result = run("convert", "ghost", expect_exit=1)
@@ -209,6 +223,11 @@ class TestElicit:
         assert "subsets checked: 8" in out
         assert "bracket holds: yes" in out
 
+    def test_csv_check_method(self):
+        out = run("--csv", "elicit", "--statement", "likely", "--method", "check").output
+        assert out == ("subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
+                       "8,0.000000,0.100000,{w1 w2},true\n")
+
     def test_statement_excludes_inline(self):
         result = run("elicit", "--statement", "likely", "--alpha", "0.5", expect_exit=2)
         assert "excludes" in result.stderr
@@ -223,16 +242,24 @@ class TestElicit:
 
     def test_csv_parts(self):
         out = run("--csv", "elicit", "--statement", "likely").output
-        lines = out.splitlines()
-        assert lines[0] == "part,key,value"
-        assert "p,w1,0.450000" in lines
-        assert "focal,{w1 w2},0.900000" in lines
-        assert "pi,w3,0.100000" in lines
+        assert out == (
+            "part,key,value\n"
+            "p,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
+            "focal,{w1 w2},0.900000\nfocal,{w1 w2 w3},0.100000\n"
+            "pi,w1,1.000000\npi,w2,1.000000\npi,w3,0.100000\n"
+        )
+
+    def test_csv_maxent(self):
+        out = run("--csv", "elicit", "--statement", "likely", "--method", "maxent").output
+        assert out == "part,key,value\np,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
 
 
 class TestTriangle:
     def test_always_csv_row(self):
         assert run("triangle", "nested", "{w1}").output == "nested,0.500000,0.000000,possibilistic-axes,\n"
+
+    def test_csv_flag_prints_the_same_row(self):
+        assert run("--csv", "triangle", "nested", "{w1}").output == "nested,0.500000,0.000000,possibilistic-axes,\n"
 
     def test_prob_object(self):
         assert run("triangle", "flat", "{w1}").output == "flat,0.200000,0.800000,probabilistic-edge,\n"
@@ -288,6 +315,12 @@ class TestPlumbing:
         assert result.exit_code == 0
         assert result.output == ""
         assert target.read_text() == "expected cardinality = 1.7\n"
+
+    def test_csv_out_writes_file(self, tmp_path):
+        target = tmp_path / "result.csv"
+        result = run("--csv", "--out", str(target), "convert", "ramp")
+        assert result.output == ""
+        assert target.read_text() == "subset,weight\n{w1},0.300000\n{w1 w2},0.400000\n{w1 w2 w3},0.300000\n"
 
     def test_doc_parse_error_is_one_line(self):
         result = run("classify", "nested", doc="frame w: w1\nnonsense here", expect_exit=1)

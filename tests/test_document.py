@@ -112,6 +112,18 @@ class TestErrors:
         msg = self.error("frame w: a b\nframe w: c d")
         assert "duplicate frame name 'w'" in msg
 
+    def test_frame_repeating_a_frames_atoms(self):
+        msg = self.error("frame a: x y z\nframe b: x y z")
+        assert msg == "line 2: frame 'b' repeats the atoms of frame 'a'"
+
+    def test_frame_repeating_a_scales_points(self):
+        msg = self.error("scale s: 1..3\nframe f: 1 2 3")
+        assert msg == "line 2: frame 'f' repeats the atoms of scale 's'"
+
+    def test_permuted_atoms_make_another_frame(self):
+        doc = parse_document("frame a: x y z\nframe b: z y x\npi p over b: 1 0.5 0")
+        assert doc.frame_name(doc.pis["p"].frame) == "b"
+
     def test_same_name_across_kinds_is_fine(self):
         doc = parse_document("frame x: a b\npi x over x: 1 0\nprob x over x: 1 0")
         assert "x" in doc.pis and "x" in doc.probs

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from credal import (
     Frame,
@@ -223,3 +224,56 @@ class TestConsonantApproximation:
         weights = [0.1] * 10
         m = MassFunction(w3, [(w3.full, sum(weights))])
         assert contour(m).values == (1.0, 1.0, 1.0)
+
+
+# grades at the edges of binary64: 1e-300, subnormals down to the smallest, 1 ulp below 1
+EXTREME_GRADES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-17, 1.0 - 2**-53, 1.0]
+
+
+@st.composite
+def normalized_pi(draw) -> PossibilityDistribution:
+    """A normalized distribution over 1-64 atoms whose grades come from a small pool,
+    so several atoms share a grade and level cuts nest with equal grades."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    pool = draw(st.lists(st.one_of(st.sampled_from(EXTREME_GRADES), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=6))
+    grades = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    grades[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    return PossibilityDistribution(Frame([f"a{i}" for i in range(n)]), grades)
+
+
+def subsets(frame: Frame):
+    return st.integers(min_value=0, max_value=(1 << len(frame)) - 1).map(frame.from_mask)
+
+
+class TestConsonantLaws:
+    """The paper's consonant laws over the whole 1-64-atom range, on extreme grades."""
+
+    @given(normalized_pi())
+    @settings(max_examples=30, deadline=None)
+    def test_pi_to_mass_to_contour_round_trip(self, pi):
+        mass = pi.as_mass()
+        assert "consonant" in mass.classify().labels
+        for back, grade in zip(contour(mass).values, pi.values):
+            assert abs(back - grade) <= TOL
+
+    @given(normalized_pi(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_necessity_is_dual_to_possibility(self, pi, data):
+        mass = pi.as_mass()
+        for a in data.draw(st.lists(subsets(pi.frame), min_size=1, max_size=6)):
+            assert abs(pi.necessity_of(a) - (1.0 - pi.possibility_of(a.complement()))) <= TOL
+            # the level-cut mass measures every subset as the distribution does
+            assert abs(mass.plausibility(a) - pi.possibility_of(a)) <= TOL
+            assert abs(mass.belief(a) - pi.necessity_of(a)) <= TOL
+
+    @given(normalized_pi(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_possibility_max_and_necessity_min_decomposable(self, pi, data):
+        mass = pi.as_mass()
+        for a, b in data.draw(st.lists(st.tuples(subsets(pi.frame), subsets(pi.frame)),
+                                       min_size=1, max_size=6)):
+            assert abs(pi.possibility_of(a | b) - max(pi.possibility_of(a), pi.possibility_of(b))) <= TOL
+            assert abs(pi.necessity_of(a & b) - min(pi.necessity_of(a), pi.necessity_of(b))) <= TOL
+            assert abs(mass.plausibility(a | b) - max(mass.plausibility(a), mass.plausibility(b))) <= TOL
+            assert abs(mass.belief(a & b) - min(mass.belief(a), mass.belief(b))) <= TOL
