@@ -1,5 +1,6 @@
 import random
-from math import fsum
+import tracemalloc
+from math import fsum, nextafter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,12 @@ from credal import (
     TrianglePoint,
     TriangleRegion,
     ValidationError,
+    VagueStatement,
+    bracket_check,
+    evidence,
     make_mass,
 )
+from credal.elicit import _subset_sum_table
 from oracles import reference_moebius, reference_zeta
 
 TOL = 1e-12
@@ -348,8 +353,8 @@ tiny_weights = st.one_of(
 
 
 @st.composite
-def mass_with_tiny_weights(draw):
-    n = draw(st.integers(min_value=1, max_value=16))
+def mass_with_tiny_weights(draw, max_atoms=16):
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
     frame = Frame([f"w{i}" for i in range(n)])
     masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
                           min_size=1, max_size=10, unique=True))
@@ -376,3 +381,107 @@ def test_tables_equal_the_element_loop_bit_for_bit(fm):
     for mask, w in weights.items():
         expected[mask] = w
     assert max(abs(reference_moebius(n, bel) - expected)) <= TOL
+
+
+@given(mass_with_tiny_weights(max_atoms=64), st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+                                                      min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_scalar_laws_on_general_masses(fm, pairs):
+    frame, m = fm
+    full = (1 << len(frame)) - 1
+    for a, b in pairs:
+        # a chain A <= A | B of sampled subsets
+        low, high = frame.from_mask(a & full), frame.from_mask((a | b) & full)
+        bel, pl = m.belief(low), m.plausibility(low)
+        assert abs(pl - (1.0 - m.belief(low.complement()))) <= TOL
+        assert bel <= pl + TOL
+        assert bel <= m.belief(high) + TOL
+        assert pl <= m.plausibility(high) + TOL
+
+
+@given(mass_with_tiny_weights(max_atoms=14), st.lists(st.integers(min_value=0), min_size=1, max_size=16))
+@settings(max_examples=30, deadline=None)
+def test_tables_equal_the_scalars(fm, masks):
+    frame, m = fm
+    full = (1 << len(frame)) - 1
+    bel, pl = m.belief_table(), m.plausibility_table()
+    for mask in masks + [0, full]:
+        a = frame.from_mask(mask & full)
+        assert abs(bel[a.mask] - m.belief(a)) <= TOL
+        assert abs(pl[a.mask] - m.plausibility(a)) <= TOL
+
+
+@given(st.integers(min_value=2, max_value=14).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(1 << n) - 2))),
+       st.one_of(st.floats(min_value=0.0, max_value=1.0), tiny_weights, st.sampled_from([nextafter(1.0, 0.0), 1.0])))
+@settings(max_examples=30, deadline=None)
+def test_bracket_holds_up_to_14_atoms(core, alpha):
+    n, mask = core
+    frame = Frame([f"w{i}" for i in range(n)])
+    assert bracket_check(VagueStatement(frame.from_mask(mask), alpha)).holds
+
+
+class TestTableCache:
+    def test_one_transform_per_mass(self, monkeypatch):
+        calls, zeta = [], evidence._zeta
+
+        def counting(n, seeds):
+            calls.append(n)
+            return zeta(n, seeds)
+
+        monkeypatch.setattr(evidence, "_zeta", counting)
+        m = random_mass(random.Random(5), Frame([f"w{i}" for i in range(6)]))
+        bel = m.belief_table()
+        m.plausibility_table()
+        assert m.belief_table() == bel
+        assert calls == [6]
+
+    def test_mutating_a_returned_table_changes_nothing(self):
+        m = random_mass(random.Random(6), Frame([f"w{i}" for i in range(5)]))
+        bel, pl = m.belief_table(), m.plausibility_table()
+        expected_bel, expected_pl = bel.copy(), pl.copy()
+        bel[:] = [2.0] * len(bel)
+        pl[3] = -1.0
+        assert m.belief_table() == expected_bel
+        assert m.plausibility_table() == expected_pl
+
+    def test_equality_and_repr_ignore_the_table(self):
+        frame = Frame([f"w{i}" for i in range(4)])
+        used, fresh = (random_mass(random.Random(7), frame) for _ in range(2))
+        text = repr(used)
+        used.belief_table()
+        assert used == fresh and repr(used) == text
+
+
+def hard_mass(n: int) -> dict[int, float]:
+    """Deterministic seeds over `n` atoms: up to 300 focal sets, weights from (0, 1) down to subnormal."""
+    rng = random.Random(n)
+    seeds = {}
+    for i in range(300):
+        seeds[rng.randrange(1, 1 << n)] = [rng.random(), 1e-17, 1e-300, 5e-324][i % 4]
+    return seeds
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_multi_block_tables_equal_the_element_loop_bit_for_bit(n):
+    seeds = hard_mass(n)
+    assert list(map(float.hex, evidence._zeta(n, seeds))) == list(map(float.hex, reference_zeta(n, seeds)))
+
+
+def test_multi_block_tables_equal_the_numpy_transform_bit_for_bit():
+    seeds = hard_mass(17)
+    expected = _subset_sum_table(17, seeds).tolist()
+    assert list(map(float.hex, evidence._zeta(17, seeds))) == list(map(float.hex, expected))
+
+
+def test_transform_needs_little_memory_beyond_its_table():
+    seeds = hard_mass(16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = evidence._zeta(16, seeds)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 16
+    assert peak <= 1.25 * kept
