@@ -3,7 +3,7 @@
 Mass, belief, and plausibility; possibility and necessity; level-cut
 decompositions linking the two; fuzzy sets with possibilistic and Bayesian
 conditioning; and the elicitation of graded "probably" statements through
-maximum entropy and minimum specificity, with an exhaustive bracket check.
+maximum entropy and minimum specificity, with a bracket check over every subset.
 """
 
 from .elicit import (

@@ -63,10 +63,17 @@ def main(ctx: click.Context, doc_file: TextIO, **_) -> None:
 
 
 @main.result_callback()
-def _emit(rendered: Rendered, as_csv: bool, out_file: TextIO | None, **_) -> None:
+@click.pass_context
+def _emit(ctx: click.Context, rendered: Rendered, as_csv: bool, out_file: TextIO | None, **_) -> None:
     """Print the command's CSV lines under --csv and its human lines otherwise."""
     csv_lines, human_lines = rendered
-    click.echo("\n".join(csv_lines if as_csv else human_lines), file=out_file)
+    try:
+        try:
+            click.echo("\n".join(csv_lines if as_csv else human_lines), file=out_file)
+        finally:
+            ctx.close()  # closes --out now: a full disk may show only when it is flushed on close
+    except OSError as exc:
+        raise click.ClickException(f"cannot write the output: {exc.strerror}") from exc
 
 
 def _get(name: str, *tables: tuple[str, dict]):
@@ -284,7 +291,7 @@ def classify(doc: Document, name: str) -> Rendered:
 @click.argument("name")
 @click.pass_obj
 def check(doc: Document, name: str) -> Rendered:
-    """Exhaustively verify the belief/plausibility bracket of a statement."""
+    """Verify the belief/plausibility bracket of a statement on every subset."""
     return _bracket_lines(bracket_check(_get(name, ("statement", doc.statements))))
 
 

@@ -89,6 +89,14 @@ def _number(token: str, line: int) -> float:
         raise DocumentError(f"not a number: {token!r}", line) from None
 
 
+def _integer(token: str, line: int) -> int:
+    """A token already matched as ``-?\\d+``; `int` refuses only one longer than the interpreter's digit cap."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DocumentError(f"integer of {len(token.lstrip('-'))} digits is too long", line) from None
+
+
 class _Parser:
     def __init__(self) -> None:
         self.doc = Document()
@@ -167,7 +175,7 @@ class _Parser:
             )
         name = m.group("name")
         table = self._declare("scale", name, line)
-        scale = NumericScale(int(m.group("lo")), int(m.group("hi")))
+        scale = NumericScale(_integer(m.group("lo"), line), _integer(m.group("hi"), line))
         self._claim("scale", name, scale.frame, line)
         table[name] = scale
 
@@ -210,7 +218,7 @@ class _Parser:
                 f"malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got {rest!r}",
                 line,
             )
-        breakpoints = [(int(x), _number(mu, line)) for x, mu in pairs]
+        breakpoints = [(_integer(x, line), _number(mu, line)) for x, mu in pairs]
         return FuzzySet.from_breakpoints(scale, breakpoints, name=name)
 
     def _statement(self, frame: Frame, rest: str, line: int) -> VagueStatement:

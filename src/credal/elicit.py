@@ -6,23 +6,19 @@ completions bracket everything compatible with that bound. The max-entropy
 reading picks the flattest probability distribution obeying it; the
 min-specificity reading picks the most conservative random set, which is
 consonant and therefore doubles as a possibility distribution. The bracket
-check verifies, subset by subset, that the first sits inside the belief and
-plausibility envelope of the second.
+check verifies, for every subset of the frame, that the first sits inside
+the belief and plausibility envelope of the second, in one pass over the
+atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .evidence import TABLE_MAX_ATOMS, MassFunction, ProbabilityDistribution, _unit, _zeta
+from .evidence import MassFunction, ProbabilityDistribution, _unit
 from .frames import Subset
 from .possibility import PossibilityDistribution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,9 @@ def minspec_mass(
     return mass, pi
 
 
-# Largest frame whose bracket check runs on plain lists. Up to 11 atoms the
-# pure-Python check takes a few ms, far less than the ~100 ms a fresh process
-# spends importing numpy; above that, and whenever numpy is already loaded,
-# the numpy check is faster. Both give bit-identical reports.
-_PURE_CHECK_MAX_ATOMS = 11
-
-
 @dataclass(frozen=True)
 class BracketReport:
-    """Outcome of the exhaustive belief/plausibility envelope check."""
+    """Outcome of the belief/plausibility envelope check over every subset."""
 
     holds: bool
     subsets_checked: int
@@ -109,64 +98,49 @@ class BracketReport:
     tightest_subset: Subset
 
 
-def _subset_sum_table(n: int, seeds: dict[int, float]) -> np.ndarray:
-    """Table t with t[mask] = sum of seed weights over submasks of mask."""
-    import numpy as np  # deferred: only large bracket checks need numpy
-
-    table = np.zeros(1 << n)
-    for mask, weight in seeds.items():
-        table[mask] += weight
-    for i in range(n):
-        shaped = table.reshape(-1, 2, 1 << i)
-        shaped[:, 1, :] += shaped[:, 0, :]
-    return table
-
-
 def bracket_check(statement: VagueStatement) -> BracketReport:
     """Verify Bel(A) <= P(A) <= Pl(A) over every subset of the frame.
 
     P is the max-entropy distribution and Bel, Pl come from the
-    min-specificity mass. Exhaustive, hence capped at TABLE_MAX_ATOMS atoms.
-    The tightest width is taken over contingent subsets only; the empty set
-    and the whole frame bracket exactly by construction.
+    min-specificity mass, with the float results an exhaustive scan over
+    subset-sum tables would give. The scan is not needed: Bel and Pl take
+    one value on each of a few classes of subsets (the empty set, the whole
+    frame, the other supersets of the core, the nonempty sets disjoint from it,
+    the rest), and P(A), the sum of its atoms' probabilities in increasing
+    atom order, can only grow when an atom joins A, because rounded
+    addition is monotone. So each class's worst case sits at its smallest
+    or its largest member, and one pass over the atoms finds them all, on
+    frames of any size. The tightest width is taken over contingent subsets
+    only; the empty set and the whole frame bracket exactly by construction.
     """
     frame = statement.core.frame
-    n = len(frame)
-    if n > TABLE_MAX_ATOMS:
-        raise ValidationError(
-            f"frame has {n} atoms; exhaustive check is capped at {TABLE_MAX_ATOMS}"
-        )
+    core = statement.core.mask
     p = maxent_distribution(statement)
     mass, _ = minspec_mass(statement)
-    prob_seeds = {1 << i: v for i, v in enumerate(p.values)}
-    bel_seeds = {subset.mask: weight for subset, weight in mass.focal_elements()}
-    full = (1 << n) - 1
-    # complement of mask m is full - m, so the complement table is a reversal
-    if n <= _PURE_CHECK_MAX_ATOMS:
-        prob = _zeta(n, prob_seeds)
-        bel = _zeta(n, bel_seeds)
-        pl = [1.0 - b for b in reversed(bel)]
-        max_violation = max(max(map(max, map(sub, bel, prob), map(sub, prob, pl))), 0.0)
-        widths = list(map(sub, pl, bel))
-        # the first contingent mask of least width, as numpy's argmin picks it
-        tightest = min(range(1, full), key=widths.__getitem__)
-        tightest_width = widths[tightest]
-    else:
-        import numpy as np  # deferred: only large bracket checks need numpy
-
-        prob = _subset_sum_table(n, prob_seeds)
-        bel = _subset_sum_table(n, bel_seeds)
-        pl = 1.0 - bel[::-1]
-        over = np.maximum(bel - prob, prob - pl)
-        max_violation = float(max(over.max(), 0.0))
-        widths = pl - bel
-        widths[0] = np.inf
-        widths[full] = np.inf
-        tightest = int(np.argmin(widths))
-        tightest_width = float(widths[tightest])
+    bel_core = mass.weight_of(statement.core)
+    bel_full = bel_core + mass.weight_of(frame.full)
+    p_core = p_rest = p_full = 0.0
+    for i, v in enumerate(p.values):
+        p_full += v
+        if core >> i & 1:
+            p_core += v
+        else:
+            p_rest += v
+    max_violation = max(
+        0.0,
+        bel_full - 1.0,  # the empty set: P = 0 against Pl = 1 - Bel(frame)
+        bel_full - p_full,  # the whole frame
+        p_full - 1.0,  # the largest P of every set meeting the core, against Pl = 1
+        bel_core - p_core,  # the core, the least P among its supersets
+        p_rest - (1.0 - bel_core),  # the non-core atoms, the largest P among sets missing the core
+    )
+    # width 1 - Bel(core) on the core's supersets and on the sets missing it, 1 elsewhere;
+    # the first contingent mask of least width
+    tightest_width = 1.0 - bel_core
+    tightest = min(core, (core + 1) & ~core) if tightest_width < 1.0 else 1
     return BracketReport(
         holds=max_violation <= 1e-9,
-        subsets_checked=1 << n,
+        subsets_checked=1 << len(frame),
         max_violation=max_violation,
         tightest_width=tightest_width,
         tightest_subset=Subset(frame, tightest),

@@ -90,12 +90,16 @@ class FuzzySet:
         Grades must be finite; they are interpolated linearly between
         breakpoints, extended flat beyond the first and last, and clamped to
         [0, 1] afterwards. Breakpoint positions must be finite and strictly
-        increasing.
+        increasing, and the scale's points must lie within the float range.
         """
         if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
-        xs = [float(x) for x, _ in breakpoints]
-        ys = [float(y) for _, y in breakpoints]
+        try:
+            xs = [float(x) for x, _ in breakpoints]
+            ys = [float(y) for _, y in breakpoints]
+            points = [float(p) for p in scale.points]
+        except OverflowError:
+            raise ValidationError("breakpoint or scale point too large for a float") from None
         for what, values in (("grade", ys), ("position", xs)):
             for v in values:
                 if not isfinite(v):
@@ -115,7 +119,7 @@ class FuzzySet:
                 y = ys[k] + t * (ys[k + 1] - ys[k])
             return min(1.0, max(0.0, y))
 
-        return cls(scale, (interpolate(float(p)) for p in scale.points), name)
+        return cls(scale, map(interpolate, points), name)
 
     def membership(self, x: int) -> float:
         return self.values[self.scale.index(x)]

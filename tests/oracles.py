@@ -6,8 +6,9 @@ lower-bound constraint on one group's total, and the samplers draw from the
 corresponding feasible sets. They exist so the closed forms elsewhere can be
 checked against machinery that cannot share their mistakes. The reference
 zeta transform walks the powerset one element at a time, the plainest form
-of the adds the library's sliced kernel does; its Moebius inverse runs on
-numpy arrays.
+of the adds the library's sliced kernel does; its Moebius inverse, the
+array form of the same transform and the exhaustive bracket check built on
+it run on numpy arrays.
 """
 
 from __future__ import annotations
@@ -206,3 +207,34 @@ def reference_moebius(n: int, table: Sequence[float]) -> np.ndarray:
         halves = out.reshape(-1, 2, 1 << bit)
         halves[:, 1, :] -= halves[:, 0, :]
     return out
+
+
+def subset_sum_table(n: int, seeds: dict[int, float]) -> np.ndarray:
+    """`reference_zeta` on a numpy array: each bit's adds as one vectorized pass, in the same order."""
+    table = np.zeros(1 << n)
+    for mask, weight in seeds.items():
+        table[mask] += weight
+    for i in range(n):
+        shaped = table.reshape(-1, 2, 1 << i)
+        shaped[:, 1, :] += shaped[:, 0, :]
+    return table
+
+
+def exhaustive_bracket(
+    n: int, prob: Sequence[float], focal: dict[int, float]
+) -> tuple[bool, int, float, float, int]:
+    """Check Bel(A) <= P(A) <= Pl(A) by scanning all 2^n subsets' tables.
+
+    `prob` holds the per-atom probabilities and `focal` the mass's weights by
+    mask. Returns the fields of a bracket report: holds, subsets checked, the
+    largest violation (at least 0), and the least contingent width with the
+    first mask that attains it.
+    """
+    p = subset_sum_table(n, {1 << i: v for i, v in enumerate(prob)})
+    bel = subset_sum_table(n, focal)
+    pl = 1.0 - bel[::-1]  # the complement of mask m is full - m
+    max_violation = float(max(np.maximum(bel - p, p - pl).max(), 0.0))
+    widths = pl - bel
+    widths[0] = widths[-1] = np.inf
+    tightest = int(np.argmin(widths))
+    return max_violation <= 1e-9, 1 << n, max_violation, float(widths[tightest]), tightest

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shlex
@@ -293,6 +294,20 @@ class TestSimpleCommands:
         assert lines[0] == "subsets_checked,max_violation,tightest_width,tightest_subset,holds"
         assert lines[1].startswith("8,0.000000,0.100000,{w1 w2},true")
 
+    BIG = "frame big: {}\nstatement s over big: core {{a0 a5}} alpha 0.8\n".format(
+        " ".join(f"a{i}" for i in range(64)))
+
+    @pytest.mark.parametrize("argv", [["check", "s"], ["elicit", "--statement", "s", "--method", "check"]])
+    def test_check_covers_64_atoms(self, argv):
+        assert run(*argv, doc=self.BIG).output == (
+            "subsets checked: 18446744073709551616\n"
+            "max violation: 2.66454e-15\n"
+            "tightest width: 0.2 at {a1}\n"
+            "bracket holds: yes\n")
+        assert run("--csv", *argv, doc=self.BIG).output == (
+            "subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
+            "18446744073709551616,0.000000,0.200000,{a1},true\n")
+
     def test_check_unknown(self):
         result = run("check", "ghost", expect_exit=1)
         assert "unknown statement 'ghost'" in result.stderr
@@ -304,6 +319,10 @@ def two_weights(a: str, b: str) -> bytes:
 
 def fuzzy_grade(grade: str) -> bytes:
     return f"scale age: 1..3\nfuzzy y over age: (1,1.0) (2,{grade}) (3,0.0)\n".encode()
+
+
+# more digits than Python reads into an int, and far more than a float holds
+NINES = "9" * 5000
 
 
 class TestPlumbing:
@@ -343,6 +362,13 @@ class TestPlumbing:
         (b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode"),
         (two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
          "Could not open file 'TMP/missing/x': No such file or directory"),
+        (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
+         "line 2: breakpoint or scale point too large for a float"),
+        (f"scale s: 1..{NINES}\n".encode(), ["classify", "m"], "line 1: integer of 5000 digits is too long"),
+        (f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
+         ["condition", "y"], "line 2: breakpoint or scale point too large for a float"),
+        (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
+         "line 2: integer of 5000 digits is too long"),
     ]
 
     @pytest.mark.parametrize("doc,argv,message", BAD_INPUT)
@@ -414,10 +440,10 @@ class TestStartup:
     """`python -m credal.cli` in a fresh interpreter, as a user runs it."""
 
     @staticmethod
-    def python(*args: str) -> subprocess.CompletedProcess:
+    def python(*args: str, input: str = "", stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env,
-                              capture_output=True, text=True, timeout=60)
+        return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, input=input,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
     def test_import_leaves_numpy_unloaded(self):
         result = self.python("-c", "import sys, credal.cli; print('numpy' in sys.modules)")
@@ -432,10 +458,37 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout == expected
 
-    def test_sample_bracket_check_leaves_numpy_unloaded(self):
-        # a 10-atom check runs on plain lists; only frames above 11 atoms load numpy
+    def test_large_bracket_check_leaves_numpy_unloaded(self):
         code = ("import sys; from credal.cli import main; "
                 "main(sys.argv[1:], standalone_mode=False); print('numpy' in sys.modules)")
-        result = self.python("-c", code, "--doc", "samples/statement10.txt", "check", "s1")
+        atoms = " ".join(f"a{i}" for i in range(18))
+        doc = f"frame w: {atoms}\nstatement s over w: core {{a0 a1 a2}} alpha 0.8\n"
+        result = self.python("-c", code, "--doc", "-", "check", "s", input=doc)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+        assert result.stdout.splitlines() == [
+            "subsets checked: 262144", "max violation: 3.33067e-16", "tightest width: 0.2 at {a0 a1 a2}",
+            "bracket holds: yes", "False"]
+
+    def test_sample_sessions_replay_without_numpy(self):
+        # numpy = None in sys.modules makes every `import numpy` fail
+        code = ("import json, sys; sys.modules['numpy'] = None; "
+                "from click.testing import CliRunner; from credal.cli import main; "
+                "print(json.dumps([[r.exit_code, r.stdout] for r in "
+                "(CliRunner().invoke(main, argv) for argv in json.load(sys.stdin))]))")
+        blocks = [(argv, out) for path in sorted(REPO_ROOT.glob("samples/*.session"))
+                  for _, argv, out in parse_session(path)]
+        result = self.python("-c", code, input=json.dumps([argv for argv, _ in blocks]))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[0, out] for _, out in blocks]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("redirect", [False, True], ids=["stdout", "out"])
+    def test_failed_write_is_one_line(self, redirect):
+        argv = ["--doc", "samples/horse_race.txt", "classify", "horse_leaky"]
+        with open("/dev/full", "w") as full:
+            if redirect:
+                result = self.python("-m", "credal.cli", "--out", "/dev/full", *argv)
+            else:
+                result = self.python("-m", "credal.cli", *argv, stdout=full)
+        assert result.returncode == 1
+        assert result.stderr == "Error: cannot write the output: No space left on device\n"

@@ -3,8 +3,8 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from credal import elicit
 from credal import (
     Frame,
     MassFunction,
@@ -16,9 +16,26 @@ from credal import (
     minspec_mass,
     pi_to_mass,
 )
-from oracles import maximize_entropy, shannon_entropy
+from oracles import exhaustive_bracket, maximize_entropy, shannon_entropy
 
 TOL = 1e-12
+# confidences where rounding shows: zero, the least subnormal, one that vanishes next to 1, thirds
+ADVERSARIAL_ALPHAS = [0.0, 5e-324, 1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.8, 0.999999, 1.0]
+
+
+def report_fields(report):
+    """A bracket report's five fields, floats by `float.hex`, the subset by mask."""
+    return (report.holds, report.subsets_checked, report.max_violation.hex(),
+            report.tightest_width.hex(), report.tightest_subset.mask)
+
+
+def oracle_fields(s: VagueStatement):
+    """The same fields from the exhaustive scan over the statement's powerset tables."""
+    mass, _ = minspec_mass(s)
+    holds, checked, violation, width, mask = exhaustive_bracket(
+        len(s.core.frame), maxent_distribution(s).values,
+        {subset.mask: w for subset, w in mass.focal_elements()})
+    return holds, checked, violation.hex(), width.hex(), mask
 
 
 @pytest.fixture
@@ -181,30 +198,31 @@ class TestBracket:
             s = VagueStatement(frame.from_mask(core_mask), rng.random())
             assert bracket_check(s).holds
 
-    def test_frame_size_cap(self):
-        frame = Frame([f"w{i}" for i in range(21)])
-        s = VagueStatement(frame.singleton("w0"), 0.5)
-        with pytest.raises(ValidationError, match="^frame has 21 atoms; exhaustive check is capped at 20$"):
-            bracket_check(s)
+    @pytest.mark.parametrize("n", [21, 64])
+    def test_frames_beyond_the_table_cap_are_checked(self, n):
+        frame = Frame([f"w{i}" for i in range(n)])
+        report = bracket_check(VagueStatement(frame.from_mask(0b101), 0.5))
+        assert report.subsets_checked == 1 << n
+        assert report.holds
+        assert report.tightest_subset.mask == 0b010
 
-    def test_list_and_numpy_paths_agree_bit_for_bit(self, monkeypatch):
+    def test_matches_the_exhaustive_oracle_bit_for_bit(self):
         # the samples print max violations such as 2.22045e-16, so rounding shows
         rng = random.Random(89)
         for n in range(2, 14):
             frame = Frame([f"w{i}" for i in range(n)])
             for alpha in [0.0, 1e-17, 0.5, 0.8, 0.999999, 1.0] * 3:
                 s = VagueStatement(frame.from_mask(rng.randint(1, (1 << n) - 2)), alpha)
-                reports = []
-                for limit in (64, 0):  # every frame on plain lists, then every frame on numpy
-                    monkeypatch.setattr(elicit, "_PURE_CHECK_MAX_ATOMS", limit)
-                    reports.append(bracket_check(s))
-                lists, arrays = reports
-                where = (n, alpha, s.core.mask)
-                assert lists.holds == arrays.holds, where
-                assert lists.subsets_checked == arrays.subsets_checked, where
-                assert lists.tightest_subset.mask == arrays.tightest_subset.mask, where
-                assert lists.max_violation.hex() == arrays.max_violation.hex(), where
-                assert lists.tightest_width.hex() == arrays.tightest_width.hex(), where
+                assert report_fields(bracket_check(s)) == oracle_fields(s), (n, alpha, s.core.mask)
+
+    @given(st.integers(min_value=2, max_value=16).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(1 << n) - 2))),
+           st.one_of(st.sampled_from(ADVERSARIAL_ALPHAS), st.floats(min_value=0.0, max_value=1.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_exhaustive_oracle_on_drawn_statements(self, core, alpha):
+        n, mask = core
+        s = VagueStatement(Frame([f"w{i}" for i in range(n)]).from_mask(mask), alpha)
+        assert report_fields(bracket_check(s)) == oracle_fields(s)
 
     def test_tables_agree_with_pointwise_measures(self, w10):
         # the subset-sum machinery must agree with the direct definitions

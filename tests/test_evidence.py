@@ -17,9 +17,9 @@ from credal import (
     bracket_check,
     evidence,
     make_mass,
+    minspec_mass,
 )
-from credal.elicit import _subset_sum_table
-from oracles import reference_moebius, reference_zeta
+from oracles import reference_moebius, reference_zeta, subset_sum_table
 
 TOL = 1e-12
 
@@ -411,14 +411,22 @@ def test_tables_equal_the_scalars(fm, masks):
         assert abs(pl[a.mask] - m.plausibility(a)) <= TOL
 
 
-@given(st.integers(min_value=2, max_value=14).flatmap(
+@given(st.integers(min_value=2, max_value=64).flatmap(
            lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(1 << n) - 2))),
        st.one_of(st.floats(min_value=0.0, max_value=1.0), tiny_weights, st.sampled_from([nextafter(1.0, 0.0), 1.0])))
-@settings(max_examples=30, deadline=None)
-def test_bracket_holds_up_to_14_atoms(core, alpha):
+@settings(max_examples=60, deadline=None)
+def test_bracket_holds_up_to_64_atoms(core, alpha):
     n, mask = core
     frame = Frame([f"w{i}" for i in range(n)])
-    assert bracket_check(VagueStatement(frame.from_mask(mask), alpha)).holds
+    s = VagueStatement(frame.from_mask(mask), alpha)
+    report = bracket_check(s)
+    assert report.holds
+    assert report.subsets_checked == 1 << n
+    # least width 1 - Bel(core), first reached at the core or at the lowest atom outside it
+    width = 1.0 - minspec_mass(s)[0].belief(s.core)
+    outside = next(1 << i for i in range(n) if not mask >> i & 1)
+    assert report.tightest_width == width
+    assert report.tightest_subset.mask == (min(mask, outside) if width < 1.0 else 1)
 
 
 class TestTableCache:
@@ -470,7 +478,7 @@ def test_multi_block_tables_equal_the_element_loop_bit_for_bit(n):
 
 def test_multi_block_tables_equal_the_numpy_transform_bit_for_bit():
     seeds = hard_mass(17)
-    expected = _subset_sum_table(17, seeds).tolist()
+    expected = subset_sum_table(17, seeds).tolist()
     assert list(map(float.hex, evidence._zeta(17, seeds))) == list(map(float.hex, expected))
 
 
