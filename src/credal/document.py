@@ -3,8 +3,9 @@
 One declaration per line. A mass declaration opens a block whose following
 lines each carry one focal subset with its weight; the block closes at the
 next declaration or at the end of input. Lines whose first non-blank
-character is `#` are comments. Every parse or validation failure is raised
-as a DocumentError carrying the 1-based line number.
+character is `#` are comments. The line helpers raise plain ValidationErrors;
+`parse_document` re-raises every failure as a DocumentError carrying the
+1-based line number, which for a mass block's own checks is its header line.
 
     frame w: w1 w2 w3
     mass m1 over w:
@@ -64,7 +65,7 @@ class Document:
     statements: dict[str, VagueStatement] = field(default_factory=dict)
 
     def frame_name(self, frame: Frame) -> str:
-        """The declared name of a frame (scale frames report as lo..hi)."""
+        """The declared name of a frame or scale; an undeclared frame reports its atoms."""
         for name, candidate in self.frames.items():
             if candidate == frame:
                 return name
@@ -82,19 +83,19 @@ class Document:
         raise ValidationError(f"unknown frame {name!r}")
 
 
-def _number(token: str, line: int) -> float:
+def _number(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise DocumentError(f"not a number: {token!r}", line) from None
+        raise ValidationError(f"not a number: {token!r}") from None
 
 
-def _integer(token: str, line: int) -> int:
+def _integer(token: str) -> int:
     """A token already matched as ``-?\\d+``; `int` refuses only one longer than the interpreter's digit cap."""
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"integer of {len(token.lstrip('-'))} digits is too long", line) from None
+        raise ValidationError(f"integer of {len(token.lstrip('-'))} digits is too long") from None
 
 
 class _Parser:
@@ -105,17 +106,17 @@ class _Parser:
         # the declaration that owns each frame's atoms, e.g. "frame 'w'"
         self.owners: dict[Frame, str] = {}
 
-    def _declare(self, kind: str, name: str, line: int) -> dict:
+    def _declare(self, kind: str, name: str) -> dict:
         table: dict = getattr(self.doc, _TABLES[kind])
         if name in table:
-            raise DocumentError(f"duplicate {kind} name {name!r}", line)
+            raise ValidationError(f"duplicate {kind} name {name!r}")
         return table
 
-    def _claim(self, kind: str, name: str, frame: Frame, line: int) -> None:
+    def _claim(self, kind: str, name: str, frame: Frame) -> None:
         """Give the frame's atoms to this declaration alone, so frame_name finds it."""
         owner = self.owners.get(frame)
         if owner is not None:
-            raise DocumentError(f"{kind} {name!r} repeats the atoms of {owner}", line)
+            raise ValidationError(f"{kind} {name!r} repeats the atoms of {owner}")
         self.owners[frame] = f"{kind} {name!r}"
 
     def _close_block(self) -> None:
@@ -135,101 +136,85 @@ class _Parser:
         if not text or text.startswith("#"):
             return
         if text.startswith("{"):
-            self._focal(text, line)
+            self._focal(text)
             return
         self._close_block()
         word = text.split(None, 1)[0]
         if word == "frame":
-            self._frame(text, line)
+            self._frame(text)
         elif word == "scale":
-            self._scale(text, line)
+            self._scale(text)
         elif word in _TABLES:
             self._over(text, line)
         else:
-            raise DocumentError(f"unrecognized declaration: {text!r}", line)
+            raise ValidationError(f"unrecognized declaration: {text!r}")
 
-    def _focal(self, text: str, line: int) -> None:
+    def _focal(self, text: str) -> None:
         if self.block is None:
-            raise DocumentError("focal line outside a mass block", line)
+            raise ValidationError("focal line outside a mass block")
         m = _FOCAL_LINE.match(text)
         if m is None:
-            raise DocumentError(
-                f"malformed focal line: {text!r} (expected {{label ...}} weight)", line
-            )
+            raise ValidationError(f"malformed focal line: {text!r} (expected {{label ...}} weight)")
         _, frame, assignments, _ = self.block
         mask = frame._mask(m.group("labels").split())
-        assignments.append((mask, _number(m.group("weight"), line)))
+        assignments.append((mask, _number(m.group("weight"))))
 
-    def _frame(self, text: str, line: int) -> None:
+    def _frame(self, text: str) -> None:
         name, frame = parse_frame(text)
-        table = self._declare("frame", name, line)
-        self._claim("frame", name, frame, line)
+        table = self._declare("frame", name)
+        self._claim("frame", name, frame)
         table[name] = frame
 
-    def _scale(self, text: str, line: int) -> None:
+    def _scale(self, text: str) -> None:
         m = _SCALE_LINE.match(text)
         if m is None:
-            raise DocumentError(
-                f"malformed scale declaration: {text!r} (expected scale <name>: <lo>..<hi>)",
-                line,
-            )
+            raise ValidationError(f"malformed scale declaration: {text!r} (expected scale <name>: <lo>..<hi>)")
         name = m.group("name")
-        table = self._declare("scale", name, line)
-        scale = NumericScale(_integer(m.group("lo"), line), _integer(m.group("hi"), line))
-        self._claim("scale", name, scale.frame, line)
+        table = self._declare("scale", name)
+        scale = NumericScale(_integer(m.group("lo")), _integer(m.group("hi")))
+        self._claim("scale", name, scale.frame)
         table[name] = scale
 
     def _over(self, text: str, line: int) -> None:
         m = _OVER_LINE.match(text)
         if m is None:
-            raise DocumentError(
-                f"malformed declaration: {text!r} (expected <kind> <name> over <frame>: ...)",
-                line,
-            )
+            raise ValidationError(f"malformed declaration: {text!r} (expected <kind> <name> over <frame>: ...)")
         kind, name, ref, rest = m.group("kind", "name", "ref", "rest")
-        table = self._declare(kind, name, line)  # duplicate check for every kind
+        table = self._declare(kind, name)  # duplicate check for every kind
         if kind == "fuzzy":
             scale = self.doc.scales.get(ref)
             if scale is None:
-                raise DocumentError(f"unknown scale {ref!r}", line)
-            table[name] = self._fuzzy(scale, name, rest, line)
+                raise ValidationError(f"unknown scale {ref!r}")
+            table[name] = self._fuzzy(scale, name, rest)
             return
         frame = self.doc.frame_named(ref)
         if kind == "mass":
             if rest:
-                raise DocumentError(
-                    "mass declaration takes no inline values; focal lines follow", line
-                )
-            # the entry lands in the table when the block closes
+                raise ValidationError("mass declaration takes no inline values; focal lines follow")
+            # the entry lands in the table when the block closes; errors then name this header line
             self.block = (name, frame, [], line)
             return
         if kind == "pi":
-            table[name] = PossibilityDistribution(frame, [_number(t, line) for t in rest.split()])
+            table[name] = PossibilityDistribution(frame, [_number(t) for t in rest.split()])
         elif kind == "prob":
-            table[name] = ProbabilityDistribution(frame, [_number(t, line) for t in rest.split()])
+            table[name] = ProbabilityDistribution(frame, [_number(t) for t in rest.split()])
         else:
-            table[name] = self._statement(frame, rest, line)
+            table[name] = self._statement(frame, rest)
 
-    def _fuzzy(self, scale: NumericScale, name: str, rest: str, line: int) -> FuzzySet:
+    def _fuzzy(self, scale: NumericScale, name: str, rest: str) -> FuzzySet:
         pairs = _BREAKPOINT.findall(rest)
         leftover = _BREAKPOINT.sub("", rest).strip()
         if not pairs or leftover:
-            raise DocumentError(
-                f"malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got {rest!r}",
-                line,
-            )
-        breakpoints = [(_integer(x, line), _number(mu, line)) for x, mu in pairs]
+            raise ValidationError(f"malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got {rest!r}")
+        breakpoints = [(_integer(x), _number(mu)) for x, mu in pairs]
         return FuzzySet.from_breakpoints(scale, breakpoints, name=name)
 
-    def _statement(self, frame: Frame, rest: str, line: int) -> VagueStatement:
+    def _statement(self, frame: Frame, rest: str) -> VagueStatement:
         m = _STATEMENT_REST.match(rest)
         if m is None:
-            raise DocumentError(
-                f"malformed statement: expected core {{label ...}} alpha <value>, got {rest!r}",
-                line,
-            )
+            raise ValidationError(f"malformed statement: expected core {{label ...}} alpha <value>, got {rest!r}")
         core = frame.subset(m.group("labels").split())
-        return VagueStatement(core, _number(m.group("alpha"), line))
+        return VagueStatement(core, _number(m.group("alpha")))
 
 
 def parse_document(text: str) -> Document:

@@ -225,8 +225,8 @@ class MassFunction:
             labels.add("vacuous")
         if all(m.bit_count() == 1 for m in masks):
             labels.add("bayesian")
-        chain = sorted(masks, key=lambda m: m.bit_count())
-        if all(a & ~b == 0 for a, b in zip(chain, chain[1:])):
+        # masks are in canonical order, cardinality first, so a chain is nested in that order
+        if all(a & ~b == 0 for a, b in zip(masks, masks[1:])):
             labels.add("consonant")
         for tag in ("vacuous", "bayesian", "consonant"):
             if tag in labels:

@@ -29,6 +29,16 @@ from .possibility import PossibilityDistribution
 NULL_EVENT_TOLERANCE = 1e-12
 
 
+def _shown(x: int) -> str:
+    """`x` in decimal; past 40 digits its first and last 8 and its length, never formatted whole."""
+    size = abs(x)
+    if size < 10**40:
+        return str(x)
+    digits = int(size.bit_length() * 0.30102999566398120)  # the count, or one short
+    digits += size >= 10**digits
+    return f"{'-' if x < 0 else ''}{size // 10 ** (digits - 8)}...{size % 10**8:08d} ({digits} digits)"
+
+
 @dataclass(frozen=True)
 class NumericScale:
     """An inclusive integer range serving as an ordered frame of scale points."""
@@ -38,14 +48,17 @@ class NumericScale:
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        bounds = f"{_shown(self.lower)}..{_shown(self.upper)}"
         if self.lower > self.upper:
-            raise ValidationError(f"scale bounds out of order: {self.lower}..{self.upper}")
+            raise ValidationError(f"scale bounds out of order: {bounds}")
         if self.upper - self.lower + 1 > MAX_ATOMS:
-            raise ValidationError(
-                f"scale {self.lower}..{self.upper} has more than {MAX_ATOMS} points"
-            )
+            raise ValidationError(f"scale {bounds} has more than {MAX_ATOMS} points")
+        try:  # `str` refuses a point past the int-string cap
+            labels = tuple(str(x) for x in self.points)
+        except ValueError:
+            raise ValidationError(f"scale {bounds} has points too long to label") from None
         # the implied frame: one atom per integer point, in order
-        object.__setattr__(self, "frame", Frame(tuple(str(x) for x in self.points)))
+        object.__setattr__(self, "frame", Frame(labels))
 
     @property
     def points(self) -> range:
@@ -59,7 +72,7 @@ class NumericScale:
 
     def index(self, x: int) -> int:
         if x not in self:
-            raise ValidationError(f"point {x} outside scale {self.lower}..{self.upper}")
+            raise ValidationError(f"point {_shown(x)} outside scale {_shown(self.lower)}..{_shown(self.upper)}")
         return x - self.lower
 
 

@@ -365,6 +365,8 @@ class TestPlumbing:
         (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
          "line 2: breakpoint or scale point too large for a float"),
         (f"scale s: 1..{NINES}\n".encode(), ["classify", "m"], "line 1: integer of 5000 digits is too long"),
+        (f"scale s: 1..{NINES[:4300]}\n".encode(), ["classify", "m"],
+         "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points\n"),
         (f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
          ["condition", "y"], "line 2: breakpoint or scale point too large for a float"),
         (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
@@ -379,6 +381,7 @@ class TestPlumbing:
         assert result.stdout == ""
         assert result.stderr.startswith("Error: " + message.replace("TMP", str(tmp_path)))
         assert len(result.stderr.splitlines()) == 1
+        assert len(result.stderr.replace(str(tmp_path), "TMP").encode()) < 200
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 

@@ -1,3 +1,4 @@
+import re
 import textwrap
 from math import fsum
 
@@ -95,22 +96,29 @@ class TestErrors:
     def error(self, text: str) -> str:
         with pytest.raises(DocumentError) as info:
             parse_document(text)
-        return str(info.value)
+        msg = str(info.value)
+        # the line is attached once: the message names it, and only once
+        assert msg.startswith(f"line {info.value.line}: ")
+        assert not re.match(r"line \d+: line ", msg)
+        return msg
 
     def test_unrecognized_declaration(self):
         msg = self.error("frame w: a b\nbogus w: 1 2")
-        assert msg.startswith("line 2:")
-        assert "unrecognized" in msg
+        assert msg == "line 2: unrecognized declaration: 'bogus w: 1 2'"
 
     def test_unknown_frame(self):
-        assert "unknown frame 'v'" in self.error("pi p over v: 1 0")
+        assert self.error("pi p over v: 1 0") == "line 1: unknown frame 'v'"
 
     def test_unknown_scale_for_fuzzy(self):
-        assert "unknown scale" in self.error("frame w: a b\nfuzzy f over w: (1,0.5)")
+        assert self.error("frame w: a b\nfuzzy f over w: (1,0.5)") == "line 2: unknown scale 'w'"
 
     def test_duplicate_names_within_kind(self):
         msg = self.error("frame w: a b\nframe w: c d")
-        assert "duplicate frame name 'w'" in msg
+        assert msg == "line 2: duplicate frame name 'w'"
+
+    def test_duplicate_scale_name(self):
+        msg = self.error("frame w: a b\nscale s: 1..2\nscale s: 3..4")
+        assert msg == "line 3: duplicate scale name 's'"
 
     def test_frame_repeating_a_frames_atoms(self):
         msg = self.error("frame a: x y z\nframe b: x y z")
@@ -120,6 +128,10 @@ class TestErrors:
         msg = self.error("scale s: 1..3\nframe f: 1 2 3")
         assert msg == "line 2: frame 'f' repeats the atoms of scale 's'"
 
+    def test_scale_repeating_a_frames_atoms(self):
+        msg = self.error("frame w: 1 2 3\nscale s: 1..3")
+        assert msg == "line 2: scale 's' repeats the atoms of frame 'w'"
+
     def test_permuted_atoms_make_another_frame(self):
         doc = parse_document("frame a: x y z\nframe b: z y x\npi p over b: 1 0.5 0")
         assert doc.frame_name(doc.pis["p"].frame) == "b"
@@ -128,35 +140,49 @@ class TestErrors:
         doc = parse_document("frame x: a b\npi x over x: 1 0\nprob x over x: 1 0")
         assert "x" in doc.pis and "x" in doc.probs
 
+    def test_malformed_frame(self):
+        assert self.error("frame w") == "line 1: malformed frame declaration: 'frame w'"
+
+    def test_frame_without_labels(self):
+        assert self.error("frame w:") == "line 1: frame declaration lists no labels"
+
+    def test_malformed_over_declaration(self):
+        msg = self.error("frame w: a b\npi p over: 1 0")
+        assert msg == ("line 2: malformed declaration: 'pi p over: 1 0' "
+                       "(expected <kind> <name> over <frame>: ...)")
+
     def test_focal_line_outside_block(self):
-        assert "outside a mass block" in self.error("frame w: a b\n{a} 1.0")
+        assert self.error("frame w: a b\n{a} 1.0") == "line 2: focal line outside a mass block"
 
     def test_focal_after_block_closed(self):
         text = "frame w: a b\nmass m over w:\n{a} 1.0\npi p over w: 1 0\n{b} 0.5"
-        msg = self.error(text)
-        assert msg.startswith("line 5:")
+        assert self.error(text) == "line 5: focal line outside a mass block"
 
     def test_empty_mass_block(self):
         msg = self.error("frame w: a b\nmass m over w:\npi p over w: 1 0")
-        assert "declares no focal elements" in msg
-        assert msg.startswith("line 2:")
+        assert msg == "line 2: mass 'm' declares no focal elements"
+
+    def test_empty_mass_block_at_end(self):
+        assert self.error("frame w: a b\nmass m over w:\n# none") == "line 2: mass 'm' declares no focal elements"
 
     def test_mass_weight_error_reports_header_line(self):
         msg = self.error("frame w: a b\nmass m over w:\n{a} 0.4")
-        assert msg.startswith("line 2:")
-        assert "sum" in msg
+        assert msg == "line 2: focal weights sum to 0.4, not 1 within 1e-06"
 
     def test_malformed_focal(self):
-        assert "malformed focal" in self.error("frame w: a b\nmass m over w:\n{a} ")
+        msg = self.error("frame w: a b\nmass m over w:\n{a} ")
+        assert msg == "line 3: malformed focal line: '{a}' (expected {label ...} weight)"
 
     def test_unknown_label_in_focal(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{c} 1.0")
-        assert msg.startswith("line 3:")
-        assert "unknown" in msg
+        assert self.error("frame w: a b\nmass m over w:\n{c} 1.0") == "line 3: unknown label 'c'"
 
     def test_label_of_another_frame_in_focal(self):
         msg = self.error("frame w: a b\nframe v: c d\nmass m over w:\n{a} 0.5\n{a c} 0.5")
         assert msg == "line 5: unknown label 'c'"
+
+    def test_bad_focal_weight(self):
+        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{b} half")
+        assert msg == "line 4: not a number: 'half'"
 
     def test_empty_focal_reports_header_line(self):
         msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{} 0.5")
@@ -167,38 +193,50 @@ class TestErrors:
         assert msg == "line 2: non-finite focal weight nan"
 
     def test_bad_number(self):
-        assert "not a number: 'x'" in self.error("frame w: a b\npi p over w: 1 x")
+        assert self.error("frame w: a b\npi p over w: 1 x") == "line 2: not a number: 'x'"
 
     def test_mass_inline_values_rejected(self):
-        assert "no inline values" in self.error("frame w: a b\nmass m over w: 0.5 0.5")
+        msg = self.error("frame w: a b\nmass m over w: 0.5 0.5")
+        assert msg == "line 2: mass declaration takes no inline values; focal lines follow"
 
     def test_malformed_scale(self):
-        assert "malformed scale" in self.error("scale s: 1-5")
+        msg = self.error("scale s: 1-5")
+        assert msg == "line 1: malformed scale declaration: 'scale s: 1-5' (expected scale <name>: <lo>..<hi>)"
 
     def test_scale_bounds_order(self):
-        assert "out of order" in self.error("scale s: 9..3")
+        assert self.error("scale s: 9..3") == "line 1: scale bounds out of order: 9..3"
 
     def test_malformed_statement(self):
         msg = self.error("frame w: a b\nstatement s over w: core {a} beta 0.5")
-        assert "malformed statement" in msg
+        assert msg == ("line 2: malformed statement: expected core {label ...} alpha <value>, "
+                       "got 'core {a} beta 0.5'")
 
     def test_statement_alpha_out_of_range(self):
-        assert "outside [0, 1]" in self.error("frame w: a b\nstatement s over w: core {a} alpha 1.5")
+        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha 1.5")
+        assert msg == "line 2: confidence 1.5 outside [0, 1]"
+
+    def test_statement_alpha_not_a_number(self):
+        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha high")
+        assert msg == "line 2: not a number: 'high'"
 
     def test_malformed_fuzzy(self):
-        assert "malformed fuzzy" in self.error("scale s: 1..5\nfuzzy f over s: 0.5 0.7")
+        msg = self.error("scale s: 1..5\nfuzzy f over s: 0.5 0.7")
+        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '0.5 0.7'"
 
     def test_fuzzy_with_leftover_text(self):
-        assert "malformed fuzzy" in self.error("scale s: 1..5\nfuzzy f over s: (1,0.5) junk")
+        msg = self.error("scale s: 1..5\nfuzzy f over s: (1,0.5) junk")
+        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(1,0.5) junk'"
+
+    def test_fuzzy_grade_not_a_number(self):
+        msg = self.error("scale s: 1..5\nfuzzy f over s: (1,high)")
+        assert msg == "line 2: not a number: 'high'"
 
     def test_wrong_value_count(self):
         msg = self.error("frame w: a b c\npi p over w: 1 0")
-        assert "expected 3" in msg
-        assert msg.startswith("line 2:")
+        assert msg == "line 2: expected 3 possibility values, got 2"
 
     def test_line_numbers_count_comments_and_blanks(self):
-        msg = self.error("# one\n\n# three\npi p over v: 1 0")
-        assert msg.startswith("line 4:")
+        assert self.error("# one\n\n# three\npi p over v: 1 0") == "line 4: unknown frame 'v'"
 
 
 @st.composite

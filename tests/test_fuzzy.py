@@ -58,6 +58,32 @@ class TestNumericScale:
         assert age.frame.atoms[0] == "20"
         assert age.frame.atoms[-1] == "29"
 
+    BIG = "10000000...00000000 (5001 digits)"
+
+    @pytest.mark.parametrize("lower,upper,message", [
+        (10**5000, 1, f"scale bounds out of order: {BIG}..1"),
+        (1, 10**5000, f"scale 1..{BIG} has more than 64 points"),
+        (10**5000, 10**5000 + 1, f"scale {BIG}..10000000...00000001 (5001 digits) has points too long to label"),
+        (-10**41, 10**40, "scale -10000000...00000000 (42 digits)..10000000...00000000 (41 digits) "
+                          "has more than 64 points"),
+    ], ids=["out_of_order", "too_many_points", "too_long_to_label", "negative"])
+    def test_huge_bounds_are_abbreviated(self, lower, upper, message):
+        with pytest.raises(ValidationError) as info:
+            NumericScale(lower, upper)
+        assert str(info.value) == message
+
+    def test_huge_point_is_abbreviated(self, young):
+        with pytest.raises(ValidationError) as info:
+            young.membership(10**5000)
+        assert str(info.value) == f"point {self.BIG} outside scale 20..29"
+
+    def test_forty_digits_are_shown_whole(self):
+        nines = 10**40 - 1
+        NumericScale(nines - 63, nines)
+        with pytest.raises(ValidationError) as info:
+            NumericScale(nines, nines - 1)
+        assert str(info.value) == f"scale bounds out of order: {nines}..{nines - 1}"
+
 
 class TestFuzzySet:
     def test_breakpoint_interpolation(self, young):
