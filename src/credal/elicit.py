@@ -65,26 +65,13 @@ def minspec_mass(
 
     Weight alpha goes to the core itself and the rest to the whole frame,
     which maximizes expected cardinality among all masses meeting the bound.
-    The result is consonant, so it is returned together with the equivalent
-    possibility distribution: 1 on the core, 1 - alpha elsewhere.
+    The result is consonant: the level-cut mass of the returned possibility
+    distribution, which is 1 on the core and 1 - alpha elsewhere.
     """
-    frame = statement.core.frame
-    # both outputs are derived from the same rounded complement so that the
-    # alpha-cut decomposition of pi reproduces the mass bit for bit
+    frame, core = statement.core.frame, statement.core.mask
     rest = 1.0 - statement.alpha
-    weights: dict[Subset, float] = {}
-    if rest < 1.0:
-        weights[statement.core] = 1.0 - rest
-    if rest > 0.0:
-        weights[frame.full] = rest
-    mass = MassFunction(frame, weights)
-    pi = PossibilityDistribution(
-        frame,
-        tuple(
-            1.0 if statement.core.mask >> i & 1 else rest for i in range(len(frame))
-        ),
-    )
-    return mass, pi
+    pi = PossibilityDistribution(frame, [1.0 if core >> i & 1 else rest for i in range(len(frame))])
+    return pi.as_mass(), pi
 
 
 @dataclass(frozen=True)

@@ -170,17 +170,18 @@ class MassFunction:
         return self._weights.get(subset.mask, 0.0)
 
     def belief(self, a: Subset) -> float:
-        """Total weight of focal elements contained in `a` (lower probability)."""
+        """Total weight of focal elements contained in `a` (lower probability), at most 1."""
         _check_same_frame(self.frame, a.frame)
-        return fsum(w for mask, w in self._weights.items() if mask & ~a.mask == 0)
+        # renormalized weights can sum an ulp past 1; the table cells keep the raw sums, within 1e-12
+        return min(fsum(w for mask, w in self._weights.items() if mask & ~a.mask == 0), 1.0)
 
     def plausibility(self, a: Subset) -> float:
-        """Total weight of focal elements intersecting `a` (upper probability).
+        """Total weight of focal elements intersecting `a` (upper probability), at most 1.
 
         Equals 1 minus the belief of the complement.
         """
         _check_same_frame(self.frame, a.frame)
-        return fsum(w for mask, w in self._weights.items() if mask & a.mask)
+        return min(fsum(w for mask, w in self._weights.items() if mask & a.mask), 1.0)
 
     def _bel_table(self) -> list[float]:
         """The belief table, built by `_zeta` on first use and kept; callers must not mutate it."""

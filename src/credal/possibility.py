@@ -50,9 +50,8 @@ class PossibilityDistribution:
 
     def necessity_of(self, a: Subset) -> float:
         """Necessity of a proposition: 1 minus the possibility of its complement (1 for the full frame)."""
-        _check_same_frame(self.frame, a.frame)
-        outside = [1.0 - v for i, v in enumerate(self.values) if not a.mask >> i & 1]
-        return min(outside) if outside else 1.0
+        # rounded 1 - v only falls as v grows, so this is the least 1 - v outside `a`, bit for bit
+        return 1.0 - self.possibility_of(a.complement())
 
     def normalize(self) -> PossibilityDistribution:
         """Rescale so the maximum grade is exactly 1 (the only sanctioned rescaling)."""
@@ -91,11 +90,8 @@ class PossibilityDistribution:
                 "(max grade 1); call normalize() first"
             )
         cuts = self.level_cuts()
-        assignments = []
-        for i, (level, cut) in enumerate(cuts):
-            below = cuts[i + 1][0] if i + 1 < len(cuts) else 0.0
-            assignments.append((cut, level - below))
-        return MassFunction(self.frame, assignments)
+        below = [level for level, _ in cuts[1:]] + [0.0]
+        return MassFunction(self.frame, [(cut, level - lower) for (level, cut), lower in zip(cuts, below)])
 
 
 def make_possibility(frame: Frame, values: Iterable[float]) -> PossibilityDistribution:
@@ -112,14 +108,13 @@ def contour(mass: MassFunction) -> PossibilityDistribution:
 
     Inverts the level-cut decomposition exactly on consonant masses; on a
     dissonant mass it is the canonical one-point summary used by the
-    consonant approximation.
+    consonant approximation. Each grade is a singleton's plausibility, at
+    most 1, as `membership_from_random_set` reads it.
     """
-    values = (
-        mass.plausibility(mass.frame.from_mask(1 << i))
-        for i in range(len(mass.frame))
+    return PossibilityDistribution(
+        mass.frame,
+        (mass.plausibility(mass.frame.from_mask(1 << i)) for i in range(len(mass.frame))),
     )
-    # renormalized weights can overshoot 1 by an ulp on atoms common to all focals
-    return PossibilityDistribution(mass.frame, tuple(min(v, 1.0) for v in values))
 
 
 @dataclass(frozen=True)

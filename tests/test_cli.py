@@ -349,28 +349,42 @@ class TestPlumbing:
     # (document, argv after --doc -, start of the one stderr line); TMP is a fresh
     # directory that must stay empty: --out opens its file only on the first write
     BAD_INPUT = [
-        (two_weights("nan", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight nan"),
-        (two_weights("nan", "1.0"), ["classify", "m"], "line 2: non-finite focal weight nan"),
-        (two_weights("inf", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight inf"),
-        (two_weights("inf", "1.0"), ["classify", "m"], "line 2: non-finite focal weight inf"),
-        (two_weights("1e308", "1e308"), ["query", "Bel", "m", "{a}"], "line 2: focal weights sum to inf"),
-        (two_weights("1e308", "1e308"), ["classify", "m"], "line 2: focal weights sum to inf"),
-        (two_weights("0.5", "0.5"), ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'"),
-        (fuzzy_grade("nan"), ["condition", "y"], "line 2: non-finite breakpoint grade nan"),
-        (fuzzy_grade("inf"), ["condition", "y"], "line 2: non-finite breakpoint grade inf"),
-        (fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf"),
-        (b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode"),
-        (two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
-         "Could not open file 'TMP/missing/x': No such file or directory"),
-        (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
-         "line 2: breakpoint or scale point too large for a float"),
-        (f"scale s: 1..{NINES}\n".encode(), ["classify", "m"], "line 1: integer of 5000 digits is too long"),
-        (f"scale s: 1..{NINES[:4300]}\n".encode(), ["classify", "m"],
-         "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points\n"),
-        (f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
-         ["condition", "y"], "line 2: breakpoint or scale point too large for a float"),
-        (f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
-         "line 2: integer of 5000 digits is too long"),
+        pytest.param(two_weights("nan", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight nan",
+                     id="nan-weight-query"),
+        pytest.param(two_weights("nan", "1.0"), ["classify", "m"], "line 2: non-finite focal weight nan",
+                     id="nan-weight-classify"),
+        pytest.param(two_weights("inf", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight inf",
+                     id="inf-weight-query"),
+        pytest.param(two_weights("inf", "1.0"), ["classify", "m"], "line 2: non-finite focal weight inf",
+                     id="inf-weight-classify"),
+        pytest.param(two_weights("1e308", "1e308"), ["query", "Bel", "m", "{a}"], "line 2: focal weights sum to inf",
+                     id="overflowing-sum-query"),
+        pytest.param(two_weights("1e308", "1e308"), ["classify", "m"], "line 2: focal weights sum to inf",
+                     id="overflowing-sum-classify"),
+        pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'",
+                     id="unknown-name-with-out"),
+        pytest.param(fuzzy_grade("nan"), ["condition", "y"], "line 2: non-finite breakpoint grade nan",
+                     id="nan-grade"),
+        pytest.param(fuzzy_grade("inf"), ["condition", "y"], "line 2: non-finite breakpoint grade inf",
+                     id="inf-grade"),
+        pytest.param(fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf",
+                     id="minus-inf-grade"),
+        pytest.param(b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode",
+                     id="not-utf8"),
+        pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
+                     "Could not open file 'TMP/missing/x': No such file or directory", id="out-in-missing-dir"),
+        pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
+                     "line 2: breakpoint or scale point too large for a float", id="400-digit-breakpoint"),
+        pytest.param(f"scale s: 1..{NINES}\n".encode(), ["classify", "m"],
+                     "line 1: integer of 5000 digits is too long", id="5000-digit-scale-bound"),
+        pytest.param(f"scale s: 1..{NINES[:4300]}\n".encode(), ["classify", "m"],
+                     "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points\n",
+                     id="4300-digit-scale-bound"),
+        pytest.param(f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
+                     ["condition", "y"], "line 2: breakpoint or scale point too large for a float",
+                     id="400-digit-scale-points"),
+        pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
+                     "line 2: integer of 5000 digits is too long", id="5000-digit-breakpoint"),
     ]
 
     @pytest.mark.parametrize("doc,argv,message", BAD_INPUT)

@@ -1,5 +1,5 @@
 import random
-from math import fsum
+from math import fsum, nextafter
 
 import numpy as np
 import pytest
@@ -140,6 +140,31 @@ class TestMinspec:
             mass, pi = minspec_mass(VagueStatement(core, alpha))
             assert pi_to_mass(pi) == mass
             assert contour(mass).values == pi.values
+
+    @given(st.integers(min_value=2, max_value=64).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(1 << n) - 2))),
+           st.one_of(st.sampled_from(ADVERSARIAL_ALPHAS + [nextafter(0.0, 1.0), 2.2250738585072014e-308,
+                                                           nextafter(1.0, 0.0)]),
+                     st.floats(min_value=0.0, max_value=1.0),
+                     st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+           st.lists(st.integers(min_value=0), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_up_to_64_atoms(self, core, alpha, masks):
+        n, mask = core
+        frame = Frame([f"w{i}" for i in range(n)])
+        mass, pi = minspec_mass(VagueStatement(frame.from_mask(mask), alpha))
+        # the closed form: 1 - alpha rounded once, the core keeping what it leaves of 1
+        rest = 1.0 - alpha
+        expected = {}
+        if 1.0 - rest > 0.0:
+            expected[mask] = (1.0 - rest).hex()
+        if rest > 0.0:
+            expected[frame.full.mask] = rest.hex()
+        assert {s.mask: w.hex() for s, w in mass.focal_elements()} == expected
+        assert pi.values == tuple(1.0 if mask >> i & 1 else rest for i in range(n))
+        assert pi.as_mass() == mass
+        for a in [frame.empty, frame.full] + [frame.from_mask(m & frame.full.mask) for m in masks]:
+            assert pi.necessity_of(a).hex() == (1.0 - pi.possibility_of(~a)).hex()
 
     def test_alpha_zero_is_vacuous(self, w10):
         mass, pi = minspec_mass(VagueStatement(w10.singleton("w0"), 0.0))

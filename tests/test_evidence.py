@@ -15,8 +15,10 @@ from credal import (
     ValidationError,
     VagueStatement,
     bracket_check,
+    contour,
     evidence,
     make_mass,
+    membership_from_random_set,
     minspec_mass,
 )
 from oracles import reference_moebius, reference_zeta, subset_sum_table
@@ -393,10 +395,33 @@ def test_scalar_laws_on_general_masses(fm, pairs):
         # a chain A <= A | B of sampled subsets
         low, high = frame.from_mask(a & full), frame.from_mask((a | b) & full)
         bel, pl = m.belief(low), m.plausibility(low)
+        # point queries lie in [0, 1] exactly, however the renormalized weights round
+        assert 0.0 <= bel <= pl <= 1.0
         assert abs(pl - (1.0 - m.belief(low.complement()))) <= TOL
-        assert bel <= pl + TOL
         assert bel <= m.belief(high) + TOL
         assert pl <= m.plausibility(high) + TOL
+
+
+def test_point_queries_stop_at_one_where_the_weights_sum_an_ulp_above_it():
+    frame = Frame(["a", "b", "c"])
+    m = MassFunction(frame, [(frame.subset(["a"]), 0.5160001), (frame.subset(["a", "b"]), 0.479),
+                             (frame.full, 0.005)])
+    assert m.belief(frame.full) == 1.0
+    assert m.plausibility(frame.full) == 1.0
+    assert m.plausibility(frame.singleton("a")) == 1.0
+    assert membership_from_random_set(m, "a") == 1.0
+    # the table cells are not clamped: they match the point queries within 1e-12
+    assert abs(m.belief_table()[-1] - m.belief(frame.full)) <= TOL
+    assert abs(m.plausibility_table()[1] - m.plausibility(frame.singleton("a"))) <= TOL
+
+
+@given(mass_with_tiny_weights(max_atoms=64))
+@settings(max_examples=30, deadline=None)
+def test_membership_is_the_contour_at_every_point(fm):
+    frame, m = fm
+    values = contour(m).values
+    for i, atom in enumerate(frame.atoms):
+        assert membership_from_random_set(m, atom) == values[i]
 
 
 @given(mass_with_tiny_weights(max_atoms=14), st.lists(st.integers(min_value=0), min_size=1, max_size=16))
