@@ -21,8 +21,8 @@ character is `#` are comments. The line helpers raise plain ValidationErrors;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .elicit import VagueStatement
 from .errors import CredalError, DocumentError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
@@ -30,7 +30,7 @@ from .frames import Frame, parse_frame
 from .fuzzy import FuzzySet, NumericScale
 from .possibility import PossibilityDistribution
 
-_SCALE_LINE = re.compile(r"^scale\s+(?P<name>\S+)\s*:\s*(?P<lo>-?\d+)\.\.(?P<hi>-?\d+)\s*$")
+_SCALE_LINE = re.compile(r"^scale\s+(?P<name>\S+)\s*:\s*(?P<lo>-?[0-9]+)\.\.(?P<hi>-?[0-9]+)\s*$")
 _OVER_LINE = re.compile(
     r"^(?P<kind>mass|pi|prob|fuzzy|statement)\s+(?P<name>\S+)\s+over\s+(?P<ref>\S+)\s*:\s*(?P<rest>.*)$"
 )
@@ -38,7 +38,7 @@ _FOCAL_LINE = re.compile(r"^\{(?P<labels>[^{}]*)\}\s+(?P<weight>\S+)$")
 _STATEMENT_REST = re.compile(
     r"^core\s+\{(?P<labels>[^{}]*)\}\s+alpha\s+(?P<alpha>\S+)$"
 )
-_BREAKPOINT = re.compile(r"\(\s*(-?\d+)\s*,\s*([^\s(),]+)\s*\)")
+_BREAKPOINT = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*([^\s(),]+)\s*\)")
 
 # the Document table that holds each kind of declaration
 _TABLES = {
@@ -52,17 +52,31 @@ _TABLES = {
 }
 
 
-@dataclass
-class Document:
-    """All named objects of one parsed document."""
+class Document(Record):
+    """All named objects of one parsed document, one table per kind; unlike other records, mutable."""
 
-    frames: dict[str, Frame] = field(default_factory=dict)
-    scales: dict[str, NumericScale] = field(default_factory=dict)
-    masses: dict[str, MassFunction] = field(default_factory=dict)
-    pis: dict[str, PossibilityDistribution] = field(default_factory=dict)
-    probs: dict[str, ProbabilityDistribution] = field(default_factory=dict)
-    fuzzies: dict[str, FuzzySet] = field(default_factory=dict)
-    statements: dict[str, VagueStatement] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("frames", "scales", "masses", "pis", "probs", "fuzzies", "statements")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        frames: dict[str, Frame] | None = None,
+        scales: dict[str, NumericScale] | None = None,
+        masses: dict[str, MassFunction] | None = None,
+        pis: dict[str, PossibilityDistribution] | None = None,
+        probs: dict[str, ProbabilityDistribution] | None = None,
+        fuzzies: dict[str, FuzzySet] | None = None,
+        statements: dict[str, VagueStatement] | None = None,
+    ):
+        self.frames = {} if frames is None else frames
+        self.scales = {} if scales is None else scales
+        self.masses = {} if masses is None else masses
+        self.pis = {} if pis is None else pis
+        self.probs = {} if probs is None else probs
+        self.fuzzies = {} if fuzzies is None else fuzzies
+        self.statements = {} if statements is None else statements
 
     def frame_name(self, frame: Frame) -> str:
         """The declared name of a frame or scale; an undeclared frame reports its atoms."""
@@ -84,14 +98,17 @@ class Document:
 
 
 def _number(token: str) -> float:
+    """A number token as `float` reads it, but only in ASCII and without `_` digit separators."""
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError  # `float` would read `0.2_5` and other scripts' digits
         return float(token)
     except ValueError:
         raise ValidationError(f"not a number: {token!r}") from None
 
 
 def _integer(token: str) -> int:
-    """A token already matched as ``-?\\d+``; `int` refuses only one longer than the interpreter's digit cap."""
+    """A token already matched as ``-?[0-9]+``; `int` refuses only one longer than the interpreter's digit cap."""
     try:
         return int(token)
     except ValueError:

@@ -13,29 +13,28 @@ atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ValidationError
 from .evidence import MassFunction, ProbabilityDistribution, _unit
 from .frames import Subset
 from .possibility import PossibilityDistribution
 
 
-@dataclass(frozen=True)
-class VagueStatement:
+class VagueStatement(Record):
     """'Probably in `core`, with confidence at least `alpha`.'"""
 
-    core: Subset
-    alpha: float
+    __slots__ = __match_args__ = ("core", "alpha")
 
-    def __post_init__(self) -> None:
-        if self.core.is_empty:
+    def __init__(self, core: Subset, alpha: float):
+        if core.is_empty:
             raise ValidationError("statement core is the contradiction (empty set)")
-        if self.core.is_full:
+        if core.is_full:
             raise ValidationError(
                 "statement core is the whole frame and carries no information"
             )
-        _unit(self.alpha, "confidence")
+        _unit(alpha, "confidence")
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def maxent_distribution(statement: VagueStatement) -> ProbabilityDistribution:
@@ -74,15 +73,18 @@ def minspec_mass(
     return pi.as_mass(), pi
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(Record):
     """Outcome of the belief/plausibility envelope check over every subset."""
 
-    holds: bool
-    subsets_checked: int
-    max_violation: float
-    tightest_width: float
-    tightest_subset: Subset
+    __slots__ = __match_args__ = ("holds", "subsets_checked", "max_violation", "tightest_width", "tightest_subset")
+
+    def __init__(self, holds: bool, subsets_checked: int, max_violation: float, tightest_width: float,
+                 tightest_subset: Subset):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "subsets_checked", subsets_checked)
+        object.__setattr__(self, "max_violation", max_violation)
+        object.__setattr__(self, "tightest_width", tightest_width)
+        object.__setattr__(self, "tightest_subset", tightest_subset)
 
 
 def bracket_check(statement: VagueStatement) -> BracketReport:

@@ -14,6 +14,10 @@ class FrameMismatchError(CredalError):
 
     def __init__(self, left: str, right: str):
         super().__init__(f"frame mismatch: operands belong to different frames ({left} vs {right})")
+        self.left, self.right = left, right
+
+    def __reduce__(self) -> tuple:  # `args` holds the message, not the two frames
+        return type(self), (self.left, self.right)
 
 
 class NormalizationError(CredalError):

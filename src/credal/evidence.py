@@ -10,12 +10,12 @@ probability measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import fsum, isfinite
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
+from ._record import Record, Slotted
 from .errors import ValidationError
 from .frames import Frame, Subset, _check_same_frame
 
@@ -87,7 +87,7 @@ def _grades(frame: Frame, values: Iterable[float], what: str) -> tuple[float, ..
     return grades
 
 
-class MassFunction:
+class MassFunction(Slotted):
     """A body of evidence: non-empty focal subsets with positive weights summing to 1.
 
     Construction merges duplicate focal subsets, drops exact zero weights,
@@ -249,12 +249,14 @@ class MassFunction:
         return TrianglePoint.locate(x, y)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Most specific structure tag plus every applicable label."""
 
-    tag: str
-    labels: frozenset[str]
+    __slots__ = __match_args__ = ("tag", "labels")
+
+    def __init__(self, tag: str, labels: frozenset[str]):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "labels", labels)
 
     def __str__(self) -> str:
         return self.tag
@@ -275,18 +277,20 @@ class TriangleRegion(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TrianglePoint:
+class TrianglePoint(Record):
     """A state of knowledge about one proposition, as a point (Bel(a), Bel(not a)).
 
     `ignorance` is 1 - 2*Bel(a), defined only on the equal-support diagonal
     where Bel(a) = Bel(not a); it is None off the diagonal.
     """
 
-    x: float
-    y: float
-    region: TriangleRegion
-    ignorance: float | None
+    __slots__ = __match_args__ = ("x", "y", "region", "ignorance")
+
+    def __init__(self, x: float, y: float, region: TriangleRegion, ignorance: float | None):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "ignorance", ignorance)
 
     @staticmethod
     def locate(x: float, y: float) -> TrianglePoint:
@@ -312,7 +316,7 @@ class TrianglePoint:
         return TrianglePoint(x, y, region, ignorance)
 
 
-class ProbabilityDistribution:
+class ProbabilityDistribution(Slotted):
     """A per-atom probability assignment summing to 1 (stored renormalized)."""
 
     __slots__ = ("frame", "values")

@@ -8,9 +8,9 @@ so the whole powerset of any supported frame can be enumerated cheaply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .errors import FrameMismatchError, ValidationError
 
 MAX_ATOMS = 64
@@ -28,16 +28,15 @@ def _check_label(label: str) -> None:
         raise ValidationError(f"label {label!r} contains forbidden character {bad[0]!r}")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """An ordered finite set of distinct atom labels.
 
     Declaration order is the canonical iteration and serialization order.
     Frames are immutable and compare by their atom tuple.
     """
 
-    atoms: tuple[str, ...]
-    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("atoms", "_bits")
+    __match_args__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -56,6 +55,9 @@ class Frame:
             seen.add(label)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_bits", {a: 1 << i for i, a in enumerate(atoms)})
+
+    def _values(self) -> tuple[tuple[str, ...]]:  # Record's, spelt out: a subset's hash and == use it
+        return (self.atoms,)
 
     @property
     def size(self) -> int:
@@ -108,24 +110,26 @@ class Frame:
 
 def _check_same_frame(frame: Frame, other: Frame) -> None:
     """Raise FrameMismatchError unless `other` equals `frame`."""
-    if other != frame:
+    if other is not frame and other != frame:
         raise FrameMismatchError(" ".join(frame.atoms), " ".join(other.atoms))
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """A set of atoms of one frame, i.e. the model set of a proposition.
 
     All boolean operations require both operands to live on the same frame.
     """
 
-    frame: Frame
-    mask: int
+    __slots__ = __match_args__ = ("frame", "mask")
 
-    def __post_init__(self):
-        limit = 1 << len(self.frame)
-        if not 0 <= self.mask < limit:
-            raise ValidationError(f"subset mask {self.mask:#x} outside the frame's powerset")
+    def __init__(self, frame: Frame, mask: int):
+        if not 0 <= mask < 1 << len(frame):
+            raise ValidationError(f"subset mask {mask:#x} outside the frame's powerset")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "mask", mask)
+
+    def _values(self) -> tuple[Frame, int]:  # Record's, spelt out: subsets are hashed and compared often
+        return self.frame, self.mask
 
     def _coerce(self, other: Subset) -> Subset:
         _check_same_frame(self.frame, other.frame)

@@ -17,10 +17,10 @@ crisp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum, isfinite
 from typing import Iterable, Sequence
 
+from ._record import Record, Slotted
 from .errors import ConditioningError, NormalizationError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
 from .frames import Frame, MAX_ATOMS, _check_same_frame
@@ -39,24 +39,24 @@ def _shown(x: int) -> str:
     return f"{'-' if x < 0 else ''}{size // 10 ** (digits - 8)}...{size % 10**8:08d} ({digits} digits)"
 
 
-@dataclass(frozen=True)
-class NumericScale:
+class NumericScale(Record):
     """An inclusive integer range serving as an ordered frame of scale points."""
 
-    lower: int
-    upper: int
-    frame: Frame = field(init=False, repr=False, compare=False)
+    __slots__ = ("lower", "upper", "frame")
+    __match_args__ = ("lower", "upper")
 
-    def __post_init__(self):
-        bounds = f"{_shown(self.lower)}..{_shown(self.upper)}"
-        if self.lower > self.upper:
+    def __init__(self, lower: int, upper: int):
+        bounds = f"{_shown(lower)}..{_shown(upper)}"
+        if lower > upper:
             raise ValidationError(f"scale bounds out of order: {bounds}")
-        if self.upper - self.lower + 1 > MAX_ATOMS:
+        if upper - lower + 1 > MAX_ATOMS:
             raise ValidationError(f"scale {bounds} has more than {MAX_ATOMS} points")
         try:  # `str` refuses a point past the int-string cap
-            labels = tuple(str(x) for x in self.points)
+            labels = tuple(str(x) for x in range(lower, upper + 1))
         except ValueError:
             raise ValidationError(f"scale {bounds} has points too long to label") from None
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         # the implied frame: one atom per integer point, in order
         object.__setattr__(self, "frame", Frame(labels))
 
@@ -76,7 +76,7 @@ class NumericScale:
         return x - self.lower
 
 
-class FuzzySet:
+class FuzzySet(Slotted):
     """A named membership function over a scale, one grade per integer point.
 
     Representationally identical to a possibility distribution over the
@@ -171,8 +171,7 @@ def fuzzy_event_probability(f: FuzzySet, prior: ProbabilityDistribution) -> floa
     return fsum(mu * p for mu, p in zip(f.values, prior.values))
 
 
-@dataclass(frozen=True)
-class PossibilisticConditioning:
+class PossibilisticConditioning(Record):
     """Result of reading a vague statement with no prior knowledge.
 
     `pi` restricts the possible values: the membership function verbatim.
@@ -181,8 +180,11 @@ class PossibilisticConditioning:
     unless some level cut is a single point.
     """
 
-    pi: PossibilityDistribution
-    certainty: tuple[float, ...]
+    __slots__ = __match_args__ = ("pi", "certainty")
+
+    def __init__(self, pi: PossibilityDistribution, certainty: tuple[float, ...]):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "certainty", certainty)
 
 
 def possibilistic_condition(f: FuzzySet) -> PossibilisticConditioning:

@@ -10,15 +10,15 @@ distribution; on consonant masses the two constructions invert each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record, Slotted
 from .errors import NormalizationError
 from .evidence import EQ_TOLERANCE, MassFunction, _grades
 from .frames import Frame, Subset, _check_same_frame
 
 
-class PossibilityDistribution:
+class PossibilityDistribution(Slotted):
     """Per-atom possibility grades in [0, 1]; doubles as a fuzzy membership function.
 
     `is_normalized` records whether the maximum grade reaches 1 (within
@@ -117,8 +117,7 @@ def contour(mass: MassFunction) -> PossibilityDistribution:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Outcome of a consonant approximation.
 
     `consistent` is true when some atom is common to all focal elements, so
@@ -126,8 +125,11 @@ class ConsistencyReport:
     the contour's maximum before rescaling (1.0 when consistent).
     """
 
-    consistent: bool
-    subnormalization: float
+    __slots__ = __match_args__ = ("consistent", "subnormalization")
+
+    def __init__(self, consistent: bool, subnormalization: float):
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "subnormalization", subnormalization)
 
 
 def consonant_approximate(mass: MassFunction) -> tuple[PossibilityDistribution, ConsistencyReport]:

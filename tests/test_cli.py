@@ -369,6 +369,8 @@ class TestPlumbing:
                      id="inf-grade"),
         pytest.param(fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf",
                      id="minus-inf-grade"),
+        pytest.param(two_weights("0.2_5", "0.75"), ["query", "Bel", "m", "{a}"], "line 3: not a number: '0.2_5'",
+                     id="underscore-weight"),
         pytest.param(b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode",
                      id="not-utf8"),
         pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
@@ -462,8 +464,10 @@ class TestStartup:
         return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, input=input,
                               stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
-    def test_import_leaves_numpy_unloaded(self):
-        result = self.python("-c", "import sys, credal.cli; print('numpy' in sys.modules)")
+    # numpy loads only for a bracket check; the value classes generate no code at import
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+    def test_import_leaves_unloaded(self, module):
+        result = self.python("-c", f"import sys, credal.cli; print({module!r} in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 

@@ -195,6 +195,34 @@ class TestErrors:
     def test_bad_number(self):
         assert self.error("frame w: a b\npi p over w: 1 x") == "line 2: not a number: 'x'"
 
+    # `float` reads `_` digit separators and any script's digits; a document's numbers are ASCII decimals
+    def test_underscore_in_focal_weight(self):
+        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.2_5\n{b} 0.75")
+        assert msg == "line 3: not a number: '0.2_5'"
+
+    def test_non_ascii_digit_in_pi_grade(self):
+        assert self.error("frame w: a b\npi p over w: \u0661 0") == "line 2: not a number: '\u0661'"
+
+    def test_fullwidth_digit_in_alpha(self):
+        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha \uff10.5")
+        assert msg == "line 2: not a number: '\uff10.5'"
+
+    def test_underscore_in_fuzzy_grade(self):
+        assert self.error("scale s: 1..5\nfuzzy f over s: (1,1_0)") == "line 2: not a number: '1_0'"
+
+    def test_non_ascii_digits_in_scale_bounds(self):
+        msg = self.error("scale s: \u0661..\u0663")
+        assert msg == ("line 1: malformed scale declaration: 'scale s: \u0661..\u0663' "
+                       "(expected scale <name>: <lo>..<hi>)")
+
+    def test_non_ascii_digit_in_breakpoint_position(self):
+        msg = self.error("scale s: 1..3\nfuzzy f over s: (\u0661,1.0)")
+        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(\u0661,1.0)'"
+
+    def test_exponents_and_signed_zero_still_parse(self):
+        doc = parse_document("frame w: a b\npi p over w: 1E0 -0.0\nprob q over w: 1e-0 .0")
+        assert doc.pis["p"].values == (1.0, 0.0) and doc.probs["q"].values == (1.0, 0.0)
+
     def test_mass_inline_values_rejected(self):
         msg = self.error("frame w: a b\nmass m over w: 0.5 0.5")
         assert msg == "line 2: mass declaration takes no inline values; focal lines follow"

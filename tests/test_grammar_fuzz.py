@@ -22,8 +22,12 @@ KINDS = ["mass", "pi", "prob", "fuzzy", "statement"]
 COMMANDS = ["query", "convert", "approx", "condition", "elicit", "triangle", "cardinality", "classify", "check"]
 # legal grades where rounding shows: zero, the least subnormal, one that vanishes next to 1, 1 ulp below 1
 EDGE_GRADES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 1 / 3, 0.5, 1 - 2**-53, 1.0]
-# number tokens where parsing or arithmetic breaks: non-finite, overflowing, signed zero, not numbers
-BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1e-400", "-0.0", "-1", "1_0", ".5", "0x1p-3", "abc"]
+# number tokens where parsing or arithmetic breaks: non-finite, overflowing, signed zero, not numbers,
+# and ones `float` reads but a document refuses (digit separators, other scripts' digits)
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1e-400", "-0.0", "-1", "1_0", ".5", "0x1p-3", "abc",
+               "0.2_5", "\u0661", "\u0661.5", "\uff10.5", "1e\u0661"]
+# integer tokens `int` reads but a document refuses: a digit separator, Arabic-Indic and fullwidth digits
+FOREIGN_INTEGERS = ["1_0", "\u0661", "-\u0663", "\uff11\uff10"]
 # integer tokens past 64 bits, past float range and past the interpreter's 4300-digit string cap
 HUGE = ["9" * 19, "-" + "9" * 19, "9" * 309, "1" + "0" * 400, "-" + "9" * 400, "9" * 4301]
 MALFORMED = ["nonsense here", "{a0} 0.5", "mass m over w: 1", "frame :", "frame w:", "frame w: a b a",
@@ -48,7 +52,10 @@ def number(rng) -> str:
 
 
 def integer(rng) -> str:
-    return str(rng.randint(-100, 100)) if rng.random() < 0.7 else rng.choice(HUGE)
+    r = rng.random()
+    if r < 0.05:
+        return rng.choice(FOREIGN_INTEGERS)
+    return str(rng.randint(-100, 100)) if r < 0.7 else rng.choice(HUGE)
 
 
 def weights(rng, k: int, clean: bool) -> list[str]:
