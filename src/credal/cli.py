@@ -14,9 +14,9 @@ from typing import TextIO
 
 import click
 
-from .document import Document, parse_document
+from .document import Document, _number, parse_document
 from .elicit import BracketReport, VagueStatement, bracket_check, maxent_distribution, minspec_mass
-from .errors import CredalError
+from .errors import CredalError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
 from .frames import Frame, parse_subset
 from .fuzzy import FuzzySet, bayes_fuzzy_condition, possibilistic_condition
@@ -34,6 +34,18 @@ def hnum(v: float) -> str:
 def cnum(v: float) -> str:
     """CSV cell number: fixed 6 decimals."""
     return format(v, ".6f")
+
+
+class _Number(click.ParamType):
+    """A number option read as the document reads its numbers: ASCII, no `_` digit separators."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx) -> float:
+        try:
+            return _number(value)
+        except ValidationError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 class _CredalGroup(click.Group):
@@ -229,7 +241,7 @@ def _statement_outputs(doc: Document, name: str, statement: VagueStatement,
               help="Use a statement declared in the document.")
 @click.option("--frame", "frame_name", default=None, help="Frame for an inline statement.")
 @click.option("--core", "core_text", default=None, help="Core subset literal, e.g. '{a b c}'.")
-@click.option("--alpha", type=float, default=None, help="Confidence bound in [0, 1].")
+@click.option("--alpha", type=_Number(), default=None, help="Confidence bound in [0, 1].")
 @click.option("--method", type=click.Choice(["maxent", "minspec", "both", "check"]),
               default="both", show_default=True)
 @click.pass_obj

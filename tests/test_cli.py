@@ -350,53 +350,63 @@ class TestPlumbing:
     # directory that must stay empty: --out opens its file only on the first write
     BAD_INPUT = [
         pytest.param(two_weights("nan", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight nan",
-                     id="nan-weight-query"),
+                     1, id="nan-weight-query"),
         pytest.param(two_weights("nan", "1.0"), ["classify", "m"], "line 2: non-finite focal weight nan",
-                     id="nan-weight-classify"),
+                     1, id="nan-weight-classify"),
         pytest.param(two_weights("inf", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight inf",
-                     id="inf-weight-query"),
+                     1, id="inf-weight-query"),
         pytest.param(two_weights("inf", "1.0"), ["classify", "m"], "line 2: non-finite focal weight inf",
-                     id="inf-weight-classify"),
+                     1, id="inf-weight-classify"),
         pytest.param(two_weights("1e308", "1e308"), ["query", "Bel", "m", "{a}"], "line 2: focal weights sum to inf",
-                     id="overflowing-sum-query"),
+                     1, id="overflowing-sum-query"),
         pytest.param(two_weights("1e308", "1e308"), ["classify", "m"], "line 2: focal weights sum to inf",
-                     id="overflowing-sum-classify"),
+                     1, id="overflowing-sum-classify"),
         pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'",
-                     id="unknown-name-with-out"),
+                     1, id="unknown-name-with-out"),
         pytest.param(fuzzy_grade("nan"), ["condition", "y"], "line 2: non-finite breakpoint grade nan",
-                     id="nan-grade"),
+                     1, id="nan-grade"),
         pytest.param(fuzzy_grade("inf"), ["condition", "y"], "line 2: non-finite breakpoint grade inf",
-                     id="inf-grade"),
+                     1, id="inf-grade"),
         pytest.param(fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf",
-                     id="minus-inf-grade"),
+                     1, id="minus-inf-grade"),
         pytest.param(two_weights("0.2_5", "0.75"), ["query", "Bel", "m", "{a}"], "line 3: not a number: '0.2_5'",
-                     id="underscore-weight"),
+                     1, id="underscore-weight"),
         pytest.param(b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode",
-                     id="not-utf8"),
+                     1, id="not-utf8"),
         pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
-                     "Could not open file 'TMP/missing/x': No such file or directory", id="out-in-missing-dir"),
+                     "Could not open file 'TMP/missing/x': No such file or directory", 1, id="out-in-missing-dir"),
         pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
-                     "line 2: breakpoint or scale point too large for a float", id="400-digit-breakpoint"),
+                     "line 2: breakpoint or scale point too large for a float", 1, id="400-digit-breakpoint"),
         pytest.param(f"scale s: 1..{NINES}\n".encode(), ["classify", "m"],
-                     "line 1: integer of 5000 digits is too long", id="5000-digit-scale-bound"),
+                     "line 1: integer of 5000 digits is too long", 1, id="5000-digit-scale-bound"),
         pytest.param(f"scale s: 1..{NINES[:4300]}\n".encode(), ["classify", "m"],
                      "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points\n",
-                     id="4300-digit-scale-bound"),
+                     1, id="4300-digit-scale-bound"),
         pytest.param(f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
                      ["condition", "y"], "line 2: breakpoint or scale point too large for a float",
-                     id="400-digit-scale-points"),
+                     1, id="400-digit-scale-points"),
         pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
-                     "line 2: integer of 5000 digits is too long", id="5000-digit-breakpoint"),
+                     "line 2: integer of 5000 digits is too long", 1, id="5000-digit-breakpoint"),
+        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "0.8_0"],
+                     "Invalid value for '--alpha': not a number: '0.8_0'", 2, id="underscore-alpha"),
+        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "\u0660.\u0668"],
+                     "Invalid value for '--alpha': not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
+        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "nan"],
+                     "confidence nan outside [0, 1]", 1, id="nan-alpha"),
     ]
 
-    @pytest.mark.parametrize("doc,argv,message", BAD_INPUT)
-    def test_bad_input_is_one_line(self, tmp_path, doc, argv, message):
+    @pytest.mark.parametrize("doc,argv,message,status", BAD_INPUT)
+    def test_bad_input_is_one_line(self, tmp_path, doc, argv, message, status):
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
-        result = run(*argv, doc=doc, expect_exit=1)
+        result = run(*argv, doc=doc, expect_exit=status)
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
-        assert result.stderr.startswith("Error: " + message.replace("TMP", str(tmp_path)))
-        assert len(result.stderr.splitlines()) == 1
+        error = result.stderr
+        if status == 2:  # click's usage lines and a blank line come first
+            usage, error = error.split("\n\n", 1)
+            assert usage.startswith("Usage: ")
+        assert error.startswith("Error: " + message.replace("TMP", str(tmp_path)))
+        assert len(error.splitlines()) == 1
         assert len(result.stderr.replace(str(tmp_path), "TMP").encode()) < 200
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []

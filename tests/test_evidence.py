@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from math import fsum, nextafter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -507,8 +508,51 @@ def test_multi_block_tables_equal_the_numpy_transform_bit_for_bit():
     assert list(map(float.hex, evidence._zeta(17, seeds))) == list(map(float.hex, expected))
 
 
-def test_transform_needs_little_memory_beyond_its_table():
-    seeds = hard_mass(16)
+def sparse_mass(n: int, layout: str) -> dict[int, float]:
+    """Seeds with `hard_mass`'s weights in the blocks of `_zeta` that `layout` names, so the others are skipped.
+
+    `first`, `second` and `top` fill one block, `odd` every other block
+    from the second on, and `each` puts one seed in every block.
+    """
+    rng = random.Random(f"{n}-{layout}")
+    block = min(1 << n, evidence._ZETA_BLOCK)
+    count = (1 << n) // block
+    blocks = {"first": [0], "second": [1], "top": [count - 1], "odd": range(1, count, 2), "each": range(count)}[layout]
+    seeds = {}
+    for b in blocks:
+        for _ in range(1 if layout == "each" else 40):
+            seeds[rng.randrange(max(1, b * block), (b + 1) * block)] = [rng.random(), 1e-17, 1e-300, 5e-324][len(seeds) % 4]
+    return seeds
+
+
+LAYOUTS = ["first", "second", "top", "odd", "each"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", [12, 13])
+def test_skipped_blocks_leave_the_element_loop_table_bit_for_bit(n, layout):
+    seeds = sparse_mass(n, layout)
+    assert list(map(float.hex, evidence._zeta(n, seeds))) == list(map(float.hex, reference_zeta(n, seeds)))
+
+
+# at 20 atoms `each` skips nothing and costs a dense transform; the other layouts keep the test under a second
+@pytest.mark.parametrize("n,layout", [(n, layout) for n in (17, 20) for layout in LAYOUTS if (n, layout) != (20, "each")])
+def test_skipped_blocks_leave_the_numpy_table_bit_for_bit(n, layout):
+    seeds = sparse_mass(n, layout)
+    # the float64 bit patterns, which `float.hex` spells out, compared without 2^21 Python strings
+    table = np.array(evidence._zeta(n, seeds)).view(np.uint64)
+    np.testing.assert_array_equal(table, subset_sum_table(n, seeds).view(np.uint64))
+
+
+def test_vacuous_tables_at_the_cap_are_exact():
+    m = MassFunction.vacuous(Frame([f"w{i}" for i in range(evidence.TABLE_MAX_ATOMS)]))
+    size = 1 << evidence.TABLE_MAX_ATOMS
+    assert m.belief_table() == [0.0] * (size - 1) + [1.0]
+    assert m.plausibility_table() == [0.0] + [1.0] * (size - 1)
+
+
+@pytest.mark.parametrize("seeds", [hard_mass(16), sparse_mass(16, "first")], ids=["dense", "sparse"])
+def test_transform_needs_little_memory_beyond_its_table(seeds):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

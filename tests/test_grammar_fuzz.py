@@ -22,10 +22,10 @@ KINDS = ["mass", "pi", "prob", "fuzzy", "statement"]
 COMMANDS = ["query", "convert", "approx", "condition", "elicit", "triangle", "cardinality", "classify", "check"]
 # legal grades where rounding shows: zero, the least subnormal, one that vanishes next to 1, 1 ulp below 1
 EDGE_GRADES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 1 / 3, 0.5, 1 - 2**-53, 1.0]
-# number tokens where parsing or arithmetic breaks: non-finite, overflowing, signed zero, not numbers,
-# and ones `float` reads but a document refuses (digit separators, other scripts' digits)
-BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1e-400", "-0.0", "-1", "1_0", ".5", "0x1p-3", "abc",
-               "0.2_5", "\u0661", "\u0661.5", "\uff10.5", "1e\u0661"]
+# number tokens `float` reads but a document, and so `elicit --alpha`, refuses: digit separators, other scripts' digits
+FOREIGN_NUMBERS = ["1_0", "0.2_5", "0.8_0", "\u0661", "\u0661.5", "\u0660.\u0668", "\uff10.5", "1e\u0661"]
+# number tokens where parsing or arithmetic breaks: non-finite, overflowing, signed zero, not numbers, foreign
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1e-400", "-0.0", "-1", ".5", "0x1p-3", "abc"] + FOREIGN_NUMBERS
 # integer tokens `int` reads but a document refuses: a digit separator, Arabic-Indic and fullwidth digits
 FOREIGN_INTEGERS = ["1_0", "\u0661", "-\u0663", "\uff11\uff10"]
 # integer tokens past 64 bits, past float range and past the interpreter's 4300-digit string cap
@@ -49,6 +49,10 @@ def number(rng) -> str:
     if r < 0.7:
         return repr(ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1080, 1024)))
     return rng.choice(BAD_NUMBERS)
+
+
+def foreign(rng) -> str:
+    return rng.choice(FOREIGN_NUMBERS)
 
 
 def integer(rng) -> str:
@@ -174,7 +178,7 @@ def invocations(draw, declared, frames):
             argv += ["--prior", name("prob")]
     elif command == "elicit":
         inline = ["--frame", draw(st.sampled_from(list(frames) + ["ghost"])), "--core", subset(),
-                  "--alpha", grade(rng) if draw(st.booleans()) else number(rng)]
+                  "--alpha", draw(st.sampled_from([grade, number, foreign]))(rng)]
         statement = ["--statement", name("statement")]
         argv += draw(st.sampled_from([statement] * 3 + [inline] * 2 + [inline[:2], statement + inline, []]))
         if draw(st.booleans()):
@@ -212,6 +216,8 @@ def test_every_invocation_ends_in_numbers_one_error_line_or_usage(out_dir, case)
         result = runner.invoke(main, ["--doc", "-", *argv], input=doc)
         where = f"{argv} on\n{doc}\n-> {result.exit_code}: {result.stdout!r} {result.stderr!r}"
         assert result.exception is None or isinstance(result.exception, SystemExit), where
+        if "--alpha" in argv and argv[argv.index("--alpha") + 1] in FOREIGN_NUMBERS:
+            assert result.exit_code != 0, where
         if result.exit_code == 0:
             assert result.stderr == "", where
             text = target.read_text() if str(target) in argv else result.stdout
