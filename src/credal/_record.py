@@ -1,9 +1,8 @@
-"""Shared methods of credal's slotted value classes.
+"""The one base of credal's immutable value classes.
 
-`Slotted` gives any class whose state is its own `__slots__` pickle and copy
-support. `Record` adds the value semantics of an immutable record, `repr`,
-`==` and `hash` over the fields named in the class's `__match_args__`, as
-plain methods, so no class code is generated at import.
+`Record` gives `repr`, `==` and `hash` over a class's fields, refuses
+assignment and deletion, and pickles and copies an instance by its slots,
+all as plain methods, so no class code is generated at import.
 """
 
 from __future__ import annotations
@@ -17,28 +16,17 @@ def _rebuild(cls: type, values: tuple) -> object:
     return obj
 
 
-class Slotted:
-    """Pickle, `copy` and `deepcopy` by the values of the subclass's own `__slots__`.
-
-    The copy gets every slot as it was, derived ones too (a kept table, a
-    frame's bit index), without re-running the constructor's checks, on every
-    pickle protocol and whatever the class's `__setattr__` does.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self) -> tuple:
-        return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))
-
-
-class Record(Slotted):
+class Record:
     """An immutable value whose `__match_args__` are its constructor's parameters, in order.
 
-    Those fields alone make its `repr` (`Name(field=value, ...)`), `==`
-    (field tuples compared, only against the same class) and `hash` (of the
-    field tuple); any other slot holds data derived from them. Assignment
-    and deletion raise AttributeError, so `__init__` sets slots through
-    `object.__setattr__`.
+    Those fields make its `repr` (`Name(field=value, ...)`) and `_values`,
+    the tuple that `==` compares (only against the same class) and `hash`
+    hashes; a class may override either, and any other slot holds data
+    derived from the fields. Assignment and deletion raise AttributeError,
+    so `__init__` sets slots through `object.__setattr__`. Pickle, `copy`
+    and `deepcopy` restore every slot of the class's own `__slots__` as it
+    was, derived ones too (a kept table, a frame's bit index), without
+    re-running the constructor's checks, on every pickle protocol.
     """
 
     __slots__ = ()
@@ -64,3 +52,6 @@ class Record(Slotted):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))

@@ -10,12 +10,12 @@ probability measure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
 from math import fsum, isfinite
 from operator import add
-from typing import Iterable, Iterator, Mapping
 
-from ._record import Record, Slotted
+from ._record import Record
 from .errors import ValidationError
 from .frames import Frame, Subset, _check_same_frame
 
@@ -110,17 +110,19 @@ def _grades(frame: Frame, values: Iterable[float], what: str) -> tuple[float, ..
     return grades
 
 
-class MassFunction(Slotted):
+class MassFunction(Record):
     """A body of evidence: non-empty focal subsets with positive weights summing to 1.
 
     Construction merges duplicate focal subsets, drops exact zero weights,
     rejects non-finite or negative weights and empty focal elements, checks
     the total against 1 within ``SUM_TOLERANCE``, and stores weights divided
-    by their computed sum. Instances are immutable; the belief table is
+    by their computed sum. Instances are immutable records, equal when their
+    frames and focal weights are, and unhashable; the belief table is
     computed on first use and kept.
     """
 
     __slots__ = ("frame", "_weights", "_bel")
+    __hash__ = None
 
     def __init__(self, frame: Frame, assignments: Mapping[Subset, float] | Iterable[tuple[Subset, float]]):
         if isinstance(assignments, Mapping):
@@ -160,10 +162,11 @@ class MassFunction(Slotted):
             total = float("inf")
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"focal weights sum to {total!r}, not 1 within {SUM_TOLERANCE}")
-        self.frame = frame
+        object.__setattr__(self, "frame", frame)
         # canonical focal order: by cardinality, then by mask (the second sort is stable)
-        self._weights = {mask: merged[mask] / total for mask in sorted(sorted(merged), key=int.bit_count)}
-        self._bel: list[float] | None = None
+        order = sorted(sorted(merged), key=int.bit_count)
+        object.__setattr__(self, "_weights", {mask: merged[mask] / total for mask in order})
+        object.__setattr__(self, "_bel", None)
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
@@ -178,10 +181,8 @@ class MassFunction(Slotted):
     def __len__(self) -> int:
         return len(self._weights)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MassFunction):
-            return NotImplemented
-        return self.frame == other.frame and self._weights == other._weights
+    def _values(self) -> tuple[Frame, dict[int, float]]:
+        return self.frame, self._weights
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{Subset(self.frame, m)}: {w:g}" for m, w in self._weights.items())
@@ -209,7 +210,7 @@ class MassFunction(Slotted):
     def _bel_table(self) -> list[float]:
         """The belief table, built by `_zeta` on first use and kept; callers must not mutate it."""
         if self._bel is None:
-            self._bel = _zeta(len(self.frame), self._weights)
+            object.__setattr__(self, "_bel", _zeta(len(self.frame), self._weights))
         return self._bel
 
     def belief_table(self) -> list[float]:
@@ -342,27 +343,23 @@ class TrianglePoint(Record):
         return TrianglePoint(x, y, region, ignorance)
 
 
-class ProbabilityDistribution(Slotted):
+class ProbabilityDistribution(Record):
     """A per-atom probability assignment summing to 1 (stored renormalized)."""
 
-    __slots__ = ("frame", "values")
+    __slots__ = __match_args__ = ("frame", "values")
+    __hash__ = None
 
     def __init__(self, frame: Frame, values: Iterable[float]):
         values = _grades(frame, values, "probability")
         total = fsum(values)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"probability values sum to {total!r}, not 1 within {SUM_TOLERANCE}")
-        self.frame = frame
-        self.values = tuple(v / total for v in values)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "values", tuple(v / total for v in values))
 
     @classmethod
     def uniform(cls, frame: Frame) -> ProbabilityDistribution:
         return cls(frame, [1.0 / len(frame)] * len(frame))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProbabilityDistribution):
-            return NotImplemented
-        return self.frame == other.frame and self.values == other.values
 
     def __repr__(self) -> str:
         return f"ProbabilityDistribution({', '.join(f'{v:g}' for v in self.values)})"

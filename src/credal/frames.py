@@ -8,7 +8,7 @@ so the whole powerset of any supported frame can be enumerated cheaply.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._record import Record
 from .errors import FrameMismatchError, ValidationError

@@ -17,10 +17,11 @@ crisp.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from math import fsum, isfinite
-from typing import Iterable, Sequence
 
-from ._record import Record, Slotted
+from ._record import Record
 from .errors import ConditioningError, NormalizationError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
 from .frames import Frame, MAX_ATOMS, _check_same_frame
@@ -71,24 +72,31 @@ class NumericScale(Record):
         return self.lower <= x <= self.upper
 
     def index(self, x: int) -> int:
+        """The position of point `x` among the scale's points; `x` must be an integer."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValidationError(f"scale point {x!r} is not an integer") from None
         if x not in self:
             raise ValidationError(f"point {_shown(x)} outside scale {_shown(self.lower)}..{_shown(self.upper)}")
         return x - self.lower
 
 
-class FuzzySet(Slotted):
+class FuzzySet(Record):
     """A named membership function over a scale, one grade per integer point.
 
     Representationally identical to a possibility distribution over the
-    scale's frame, and stored as one; `as_possibility()` returns it.
+    scale's frame, and stored as one; `as_possibility()` returns it. Two
+    sets are equal when their scales and grades are, whatever their names.
     """
 
     __slots__ = ("scale", "name", "_pi")
+    __hash__ = None
 
     def __init__(self, scale: NumericScale, values: Iterable[float], name: str = ""):
-        self.scale = scale
-        self.name = name
-        self._pi = PossibilityDistribution(scale.frame, values)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_pi", PossibilityDistribution(scale.frame, values))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -144,10 +152,8 @@ class FuzzySet(Slotted):
     def as_possibility(self) -> PossibilityDistribution:
         return self._pi
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FuzzySet):
-            return NotImplemented
-        return self.scale == other.scale and self.values == other.values
+    def _values(self) -> tuple[NumericScale, tuple[float, ...]]:
+        return self.scale, self.values
 
     def __repr__(self) -> str:
         return f"FuzzySet({self.name or '?'}: {', '.join(f'{v:g}' for v in self.values)})"

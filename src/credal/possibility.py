@@ -10,15 +10,15 @@ distribution; on consonant masses the two constructions invert each other.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
-from ._record import Record, Slotted
+from ._record import Record
 from .errors import NormalizationError
 from .evidence import EQ_TOLERANCE, MassFunction, _grades
 from .frames import Frame, Subset, _check_same_frame
 
 
-class PossibilityDistribution(Slotted):
+class PossibilityDistribution(Record):
     """Per-atom possibility grades in [0, 1]; doubles as a fuzzy membership function.
 
     `is_normalized` records whether the maximum grade reaches 1 (within
@@ -27,17 +27,14 @@ class PossibilityDistribution(Slotted):
     """
 
     __slots__ = ("frame", "values", "is_normalized")
+    __match_args__ = ("frame", "values")
+    __hash__ = None
 
     def __init__(self, frame: Frame, values: Iterable[float]):
         values = _grades(frame, values, "possibility")
-        self.frame = frame
-        self.values = values
-        self.is_normalized = (1.0 - max(values)) <= EQ_TOLERANCE
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PossibilityDistribution):
-            return NotImplemented
-        return self.frame == other.frame and self.values == other.values
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "is_normalized", (1.0 - max(values)) <= EQ_TOLERANCE)
 
     def __repr__(self) -> str:
         return f"PossibilityDistribution({', '.join(f'{v:g}' for v in self.values)})"

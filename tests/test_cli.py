@@ -481,6 +481,13 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
+    def test_library_import_adds_no_typing(self):
+        # without `site`, which may load `typing` itself; a stdlib whose `re` or `enum` loads it excuses credal
+        probe = "; import sys; print('typing' in sys.modules)"
+        results = [self.python("-S", "-c", imports + probe) for imports in ("import credal", "import re, enum")]
+        assert [r.returncode for r in results] == [0, 0], [r.stderr for r in results]
+        assert results[0].stdout == results[1].stdout
+
     def test_bracket_check_prints_the_transcript(self):
         argv = "--doc samples/statement10.txt --csv check s1"
         [expected] = [out for line, _, out in parse_session(REPO_ROOT / "samples/statement10.session")

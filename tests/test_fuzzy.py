@@ -45,6 +45,14 @@ class TestNumericScale:
         with pytest.raises(ValidationError, match="outside scale"):
             age.index(19)
 
+    @pytest.mark.parametrize("point", [2.0, 2.5, float("nan"), "2"], ids=repr)
+    def test_points_are_integers(self, point):
+        young = FuzzySet(NumericScale(1, 3), [1.0, 0.5, 0.0], name="y")
+        with pytest.raises(ValidationError, match=f"scale point {point!r} is not an integer"):
+            young.membership(point)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            young.scale.index(point)
+
     def test_bounds_order(self):
         with pytest.raises(ValidationError, match="out of order"):
             NumericScale(5, 4)

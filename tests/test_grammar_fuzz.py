@@ -106,7 +106,8 @@ def documents(draw):
         frames.setdefault(name, atoms)
     if draw(st.booleans()):
         scale = fresh(frames)
-        lo = integer(rng)
+        # a valid scale's points are distinct floats, as a fuzzy set's breakpoints need
+        lo = str(rng.choice([rng.randint(-100, 100), rng.randint(-2**53, 2**53 - 63)])) if clean else integer(rng)
         near = len(lo) < 4000 and (clean or draw(st.booleans()))
         hi = str(int(lo) + draw(st.integers(0, 63) if clean else st.integers(-1, 70))) if near else integer(rng)
         lines.append(f"scale {scale}: {lo}..{hi}")
@@ -122,10 +123,12 @@ def documents(draw):
                                         st.text(alphabet="{}():.,#-_ 0123456789abxyz\t", max_size=30))))
         if kind == "fuzzy" and clean and scale not in frames:
             continue
-        name = fresh(declared[kind])
-        declared[kind].append(name)
         ref = scale if kind == "fuzzy" and clean else draw(st.sampled_from(list(frames) + ["ghost"] * (not clean)))
         atoms = frames.get(ref, ["a0"])
+        if kind == "statement" and clean and len(atoms) == 1:
+            continue  # a valid core is neither empty nor the whole frame
+        name = fresh(declared[kind])
+        declared[kind].append(name)
         if kind == "mass":
             lines.append(f"mass {name} over {ref}:")
             focals = [literal(rng, atoms, least=int(clean)) for _ in range(draw(st.integers(1, 5)))]
@@ -163,7 +166,8 @@ def invocations(draw, declared, frames):
     out = draw(st.sampled_from(OUT))
     if out is not None:
         argv += ["--out", out]
-    command = draw(st.sampled_from(COMMANDS * 4 + [None]))
+    # elicit weighs double: its statement and inline forms are two ways in
+    command = draw(st.sampled_from(COMMANDS * 4 + ["elicit"] * 4 + [None]))
     if command is None:
         return argv + draw(st.sampled_from([[], ["frobnicate"], ["query", "Bel"]]))
     argv.append(command)
@@ -177,10 +181,14 @@ def invocations(draw, declared, frames):
         if draw(st.booleans()):
             argv += ["--prior", name("prob")]
     elif command == "elicit":
-        inline = ["--frame", draw(st.sampled_from(list(frames) + ["ghost"])), "--core", subset(),
+        # --core mostly takes a proper subset of the frame --frame names: only an otherwise valid
+        # inline statement shows how --alpha is read
+        frame = draw(st.sampled_from(list(frames) * 3 + ["ghost"]))
+        core = literal(rng, frames.get(frame, ["a0"]), least=1, proper=True)
+        inline = ["--frame", frame, "--core", draw(st.sampled_from([core] * 3 + [subset()])),
                   "--alpha", draw(st.sampled_from([grade, number, foreign]))(rng)]
         statement = ["--statement", name("statement")]
-        argv += draw(st.sampled_from([statement] * 3 + [inline] * 2 + [inline[:2], statement + inline, []]))
+        argv += draw(st.sampled_from([statement] * 2 + [inline] * 3 + [inline[:2], statement + inline, []]))
         if draw(st.booleans()):
             argv += ["--method", draw(st.sampled_from(["maxent", "minspec", "both", "check", "bogus"]))]
     elif command == "check":
@@ -217,7 +225,8 @@ def test_every_invocation_ends_in_numbers_one_error_line_or_usage(out_dir, case)
         where = f"{argv} on\n{doc}\n-> {result.exit_code}: {result.stdout!r} {result.stderr!r}"
         assert result.exception is None or isinstance(result.exception, SystemExit), where
         if "--alpha" in argv and argv[argv.index("--alpha") + 1] in FOREIGN_NUMBERS:
-            assert result.exit_code != 0, where
+            # click refuses the value before the command runs; only the document is read sooner
+            assert "Invalid value for '--alpha'" in result.stderr or result.stderr.startswith("Error: line "), where
         if result.exit_code == 0:
             assert result.stderr == "", where
             text = target.read_text() if str(target) in argv else result.stdout

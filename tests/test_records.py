@@ -1,18 +1,22 @@
 """The value classes behave as they did when they were frozen dataclasses.
 
-Pins what callers can observe of the ten record classes: `repr` strings,
-`==` between instances of one class only, `hash` of equal values, refusal of
-assignment and deletion (except on `Document`), keyword construction, and
-pickle, `copy` and `deepcopy` round trips of every public class.
+Pins what callers can observe of the fourteen public value classes, the ten
+former dataclasses and the four measure classes: `repr` strings, `==`
+between instances of one class only, `hash` of equal values (the measures
+stay unhashable), refusal of assignment and deletion (except on
+`Document`), keyword construction, and pickle, `copy` and `deepcopy` round
+trips of every public class.
 """
 
 import copy
+import inspect
 import pickle
 from math import inf, nan
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import credal
 from credal import (
     BracketReport,
     Classification,
@@ -37,6 +41,7 @@ from credal import (
     parse_document,
     possibilistic_condition,
 )
+from credal._record import Record
 from conftest import REPO_ROOT
 
 W = "Frame(atoms=('a', 'b', 'c'))"
@@ -69,10 +74,19 @@ RECORDS = {
     "Document": (lambda: Document(frames={"w": w()}),
                  f"Document(frames={{'w': {W}}}, scales={{}}, masses={{}}, pis={{}}, probs={{}}, fuzzies={{}}, "
                  "statements={})"),
+    "MassFunction": (lambda: MassFunction(frame=w(), assignments={w().subset(["a"]): 0.5, w().full: 0.5}),
+                     "MassFunction({a}: 0.5, {a b c}: 0.5)"),
+    "ProbabilityDistribution": (lambda: ProbabilityDistribution(frame=w(), values=[0.5, 0.25, 0.25]),
+                                "ProbabilityDistribution(0.5, 0.25, 0.25)"),
+    "PossibilityDistribution": (lambda: PossibilityDistribution(frame=w(), values=[1.0, 0.5, 0.0]),
+                                "PossibilityDistribution(1, 0.5, 0)"),
+    "FuzzySet": (lambda: FuzzySet(scale=NumericScale(1, 3), values=[1.0, 0.5, 0.0], name="y"),
+                 "FuzzySet(y: 1, 0.5, 0)"),
 }
 FROZEN = sorted(set(RECORDS) - {"Document"})
+MEASURES = ["FuzzySet", "MassFunction", "PossibilityDistribution", "ProbabilityDistribution"]
 # records whose fields all hash; PossibilisticConditioning holds an unhashable distribution
-HASHABLE = sorted(set(FROZEN) - {"PossibilisticConditioning"})
+HASHABLE = sorted(set(FROZEN) - {"PossibilisticConditioning", *MEASURES})
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -95,7 +109,14 @@ def test_equal_values_hash_equal(name):
     assert hash(make()) == hash(make())
 
 
-@pytest.mark.parametrize("name", ["PossibilisticConditioning", "Document"])
+def test_every_public_value_class_is_a_record():
+    classes = {name for name in credal.__all__ if inspect.isclass(getattr(credal, name))}
+    values = {name for name in classes if not issubclass(getattr(credal, name), (Exception, TriangleRegion))}
+    assert values == set(RECORDS)
+    assert all(issubclass(type(make()), Record) for make, _ in RECORDS.values())
+
+
+@pytest.mark.parametrize("name", ["PossibilisticConditioning", "Document", *MEASURES])
 def test_unhashable(name):
     with pytest.raises(TypeError, match="unhashable"):
         hash(RECORDS[name][0]())
@@ -120,20 +141,37 @@ def test_fields_differ_means_unequal():
     doc = Document()
     doc.frames["w"] = w()
     assert doc != Document() and doc == RECORDS["Document"][0]()
+    assert ProbabilityDistribution(w(), [0.5, 0.25, 0.25]) != ProbabilityDistribution(w(), [0.25, 0.5, 0.25])
+    assert PossibilityDistribution(w(), [1.0, 0.5, 0.0]) != PossibilityDistribution(Frame("abd"), [1.0, 0.5, 0.0])
+    assert MassFunction.vacuous(w()) != MassFunction.vacuous(Frame("abd"))
+    assert MassFunction.vacuous(w()) != RECORDS["MassFunction"][0]()
+    assert FuzzySet(NumericScale(1, 3), [1.0, 0.5, 0.0]) != FuzzySet(NumericScale(2, 4), [1.0, 0.5, 0.0])
+
+
+def test_measures_compare_their_values_alone():
+    # a fuzzy set's name, a mass's kept table and the focal order given do not take part in ==
+    assert FuzzySet(NumericScale(1, 3), [1.0, 0.5, 0.0], name="y") == FuzzySet(NumericScale(1, 3), [1.0, 0.5, 0.0])
+    kept = RECORDS["MassFunction"][0]()
+    kept.belief_table()
+    assert kept._bel is not None and kept == RECORDS["MassFunction"][0]()
+    assert kept == MassFunction(w(), [(w().full, 0.5), (w().subset(["a"]), 0.5)])
+    assert ProbabilityDistribution(w(), [0.5, 0.5, 0.0]).as_mass() == MassFunction(w(), {w().subset(["a"]): 0.5,
+                                                                                           w().subset(["b"]): 0.5})
 
 
 @pytest.mark.parametrize("name", FROZEN)
 def test_frozen(name):
     record = RECORDS[name][0]()
-    field = record.__match_args__[0]
-    before = repr(record)
-    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
-        setattr(record, field, None)
+    before, twin = repr(record), RECORDS[name][0]()
+    # the constructor's fields and every slot, derived ones (a kept table, a bit index) too
+    for field in dict.fromkeys(record.__match_args__ + type(record).__slots__):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
     with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
         record.other = 1
-    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
-        delattr(record, field)
-    assert repr(record) == before
+    assert repr(record) == before and record == twin
 
 
 def test_document_stays_mutable():
