@@ -69,7 +69,7 @@ class NumericScale(Record):
         return self.upper - self.lower + 1
 
     def __contains__(self, x: int) -> bool:
-        return self.lower <= x <= self.upper
+        return x in self.points
 
     def index(self, x: int) -> int:
         """The position of point `x` among the scale's points; `x` must be an integer."""

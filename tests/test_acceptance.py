@@ -14,7 +14,6 @@ from math import fsum
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from credal import (
     Frame,
@@ -32,7 +31,7 @@ from credal import (
     minspec_mass,
     pi_to_mass,
 )
-from credal.cli import main
+from cli_runner import credal
 from oracles import (
     maximize_entropy,
     sample_feasible_distributions,
@@ -109,7 +108,7 @@ def test_three_outcome_paradox_exact():
         (["query", "Bel", "silence", "{nab}"], "Bel = 0\n"),
         (["query", "Pl", "silence", "{nab}"], "Pl = 1\n"),
     ]:
-        result = CliRunner().invoke(main, ["--doc", "-", *args], input=doc)
+        result = credal(*args, doc=doc)
         assert result.exit_code == 0
         assert result.output == expected
     certify("three-outcome paradox: exact Bel/Pl under both encodings", start, 1.0)
@@ -283,7 +282,7 @@ def test_triangle_convention_rows():
         (["triangle", "m_interior", "{a}"], "m_interior,0.200000,0.200000,interior,0.600000\n"),
     ]
     for args, expected in golden:
-        result = CliRunner().invoke(main, ["--doc", "-", *args], input=doc)
+        result = credal(*args, doc=doc)
         assert result.exit_code == 0
         assert result.output == expected
     certify("triangle landmark rows: golden CLI output")

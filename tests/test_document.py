@@ -5,7 +5,7 @@ from math import fsum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from credal import DocumentError, MassFunction, parse_document
+from credal import DocumentError, Frame, MassFunction, parse_document
 
 FULL_DOC = textwrap.dedent("""\
     # a frame, ways of weighing it, and a scale with a vague predicate
@@ -62,6 +62,7 @@ class TestHappyPath:
         doc = parse_document(FULL_DOC)
         assert doc.frame_name(doc.frames["w"]) == "w"
         assert doc.frame_name(doc.scales["age"].frame) == "age"
+        assert doc.frame_name(Frame(["x", "y"])) == "x y"
 
     def test_comments_and_blanks_ignored(self):
         doc = parse_document("# nothing\n\n   \nframe w: a b\n  # trailing comment line\n")

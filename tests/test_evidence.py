@@ -193,7 +193,7 @@ class TestExpectedCardinality:
 class TestClassify:
     def test_nested_chain_is_consonant(self, w3):
         m = make_mass(w3, [(w3.singleton("w1"), 0.3), (w3.subset(["w1", "w2"]), 0.7)])
-        assert m.classify().tag == "consonant"
+        assert m.classify().tag == str(m.classify()) == "consonant"
 
     def test_overlapping_pair_is_general(self, w3):
         m = make_mass(w3, [(w3.subset(["w1", "w2"]), 0.5), (w3.subset(["w2", "w3"]), 0.5)])

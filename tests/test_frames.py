@@ -12,7 +12,7 @@ def w3() -> Frame:
 class TestFrameConstruction:
     def test_preserves_declaration_order(self):
         frame = Frame(["h1", "h2", "h3", "h4"])
-        assert frame.atoms == ("h1", "h2", "h3", "h4")
+        assert frame.atoms == tuple(frame) == ("h1", "h2", "h3", "h4")
         assert len(frame) == 4
         assert frame.size == 4
 
@@ -93,7 +93,7 @@ class TestSubsets:
 
     def test_union_and_membership(self, w3):
         join = w3.singleton("w1") | w3.singleton("w3")
-        assert join.labels() == ("w1", "w3")
+        assert join.labels() == tuple(join) == ("w1", "w3")
         assert "w1" in join and "w2" not in join
 
     def test_str_form(self, w3):

@@ -48,6 +48,7 @@ class TestNumericScale:
     @pytest.mark.parametrize("point", [2.0, 2.5, float("nan"), "2"], ids=repr)
     def test_points_are_integers(self, point):
         young = FuzzySet(NumericScale(1, 3), [1.0, 0.5, 0.0], name="y")
+        assert (point in young.scale) == (point in young.scale.points)
         with pytest.raises(ValidationError, match=f"scale point {point!r} is not an integer"):
             young.membership(point)
         with pytest.raises(ValidationError, match="is not an integer"):
