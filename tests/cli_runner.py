@@ -4,19 +4,26 @@ Any input ends in one of three ways, and never in a traceback:
 
 - exit 0: stderr is empty and every number on stdout is finite;
 - exit 1: stdout is empty and stderr is exactly one `Error:` line;
-- exit 2: stdout is empty and stderr is click's usage message: it starts
-  with `Usage:` and its one `Error:` line is the last.
+- exit 2: stdout is empty and stderr is the usage message: it starts with
+  `Usage:` and its one `Error:` line is the last.
 """
 
+import io
 import re
+import sys
 import traceback
 from math import isfinite
-
-from click.testing import CliRunner, Result
+from typing import NamedTuple
 
 from credal.cli import main
 
 TOKEN = re.compile(r"[\s,:=(){}]+")
+
+
+class Result(NamedTuple):
+    exit_code: int | None  # None when `main` returned instead of exiting
+    stdout: str
+    stderr: str
 
 
 def non_finite(text: str) -> list[str]:
@@ -41,10 +48,24 @@ def credal(*argv: str, doc: str | bytes | None = None) -> Result:
     """Run `credal --doc - ARGV` with `doc` on stdin, or `credal ARGV` when there is no `doc`."""
     if doc is not None:
         argv = ("--doc", "-", *argv)
-    result = CliRunner().invoke(main, argv, input=doc)
+    stdin = io.BytesIO(doc.encode() if isinstance(doc, str) else doc or b"")
+    stdin.name = "<stdin>"
+    streams = io.TextIOWrapper(stdin, encoding="utf-8"), io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = streams
+    exit_code = crash = None
+    try:
+        main.main(list(argv))
+    except SystemExit as exc:
+        exit_code = exc.code
+    except Exception:
+        crash = traceback.format_exc()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    result = Result(exit_code, streams[1].getvalue(), streams[2].getvalue())
     where = f"credal {list(argv)} on\n{doc!r}\n-> {result.exit_code}: {result.stdout!r} {result.stderr!r}"
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise AssertionError(where + "\n" + "".join(traceback.format_exception(*result.exc_info)))
+    if crash is not None:
+        raise AssertionError(where + "\n" + crash)
     lines = result.stderr.splitlines()
     if result.exit_code == 0:
         assert result.stderr == "", where

@@ -110,7 +110,7 @@ def test_three_outcome_paradox_exact():
     ]:
         result = credal(*args, doc=doc)
         assert result.exit_code == 0
-        assert result.output == expected
+        assert result.stdout == expected
     certify("three-outcome paradox: exact Bel/Pl under both encodings", start, 1.0)
 
 
@@ -284,7 +284,7 @@ def test_triangle_convention_rows():
     for args, expected in golden:
         result = credal(*args, doc=doc)
         assert result.exit_code == 0
-        assert result.output == expected
+        assert result.stdout == expected
     certify("triangle landmark rows: golden CLI output")
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from cli_runner import credal
 from conftest import REPO_ROOT
-from credal.cli import _get, main
+from credal.cli import COMMANDS, _get
 
 DOC = textwrap.dedent("""\
     frame w: w1 w2 w3
@@ -31,7 +31,7 @@ DOC = textwrap.dedent("""\
 
 def run(*args: str, doc: str = DOC, expect_exit: int = 0):
     result = credal(*args, doc=doc)
-    assert result.exit_code == expect_exit, result.output
+    assert result.exit_code == expect_exit, result
     return result
 
 
@@ -70,24 +70,24 @@ def test_recorded_sessions_replay_exactly(repo_root, monkeypatch, argv, stdout):
     monkeypatch.setitem(sys.modules, "numpy", None)  # every `import numpy` fails
     result = credal(*argv)
     assert result.exit_code == 0
-    assert result.output == stdout
+    assert result.stdout == stdout
 
 
 class TestQuery:
     def test_belief_human(self):
-        assert run("query", "Bel", "nested", "{w1 w2}").output == "Bel = 0.8\n"
+        assert run("query", "Bel", "nested", "{w1 w2}").stdout == "Bel = 0.8\n"
 
     def test_plausibility_on_prob(self):
-        assert run("query", "Pl", "flat", "{w2 w3}").output == "Pl = 0.8\n"
+        assert run("query", "Pl", "flat", "{w2 w3}").stdout == "Pl = 0.8\n"
 
     def test_possibility(self):
-        assert run("query", "Pi", "ramp", "{w2 w3}").output == "Pi = 0.7\n"
+        assert run("query", "Pi", "ramp", "{w2 w3}").stdout == "Pi = 0.7\n"
 
     def test_necessity(self):
-        assert run("query", "N", "ramp", "{w1}").output == "N = 0.3\n"
+        assert run("query", "N", "ramp", "{w1}").stdout == "N = 0.3\n"
 
     def test_csv(self):
-        out = run("--csv", "query", "N", "ramp", "{w1}").output
+        out = run("--csv", "query", "N", "ramp", "{w1}").stdout
         assert out == "measure,object,subset,value\nN,ramp,{w1},0.300000\n"
 
     def test_unknown_object(self):
@@ -113,7 +113,7 @@ class TestQuery:
 
 class TestConvert:
     def test_pi_to_mass(self):
-        out = run("convert", "ramp").output
+        out = run("convert", "ramp").stdout
         assert out == (
             "mass ramp_mass over w:\n"
             "  {w1} 0.3\n"
@@ -122,14 +122,14 @@ class TestConvert:
         )
 
     def test_mass_to_pi(self):
-        out = run("convert", "nested").output
+        out = run("convert", "nested").stdout
         assert out == "pi nested_pi over w: 1 0.5 0.2\n"
 
     def test_round_trip_through_rendered_document(self):
         # feed the rendered mass block back in as a document and convert again
-        block = run("convert", "ramp").output
+        block = run("convert", "ramp").stdout
         doc2 = "frame w: w1 w2 w3\n" + block
-        out = run("convert", "ramp_mass", doc=doc2).output
+        out = run("convert", "ramp_mass", doc=doc2).stdout
         assert out == "pi ramp_mass_pi over w: 1 0.7 0.3\n"
 
     def test_dissonant_mass_refused(self):
@@ -138,12 +138,12 @@ class TestConvert:
         assert "approx" in result.stderr
 
     def test_csv_pi_to_mass(self):
-        out = run("--csv", "convert", "ramp").output
+        out = run("--csv", "convert", "ramp").stdout
         assert out.splitlines()[0] == "subset,weight"
         assert "{w1 w2},0.400000" in out
 
     def test_csv_mass_to_pi(self):
-        out = run("--csv", "convert", "nested").output
+        out = run("--csv", "convert", "nested").stdout
         assert out == "atom,value\nw1,1.000000\nw2,0.500000\nw3,0.200000\n"
 
     def test_name_of_both_a_pi_and_a_mass(self):
@@ -158,16 +158,16 @@ class TestConvert:
 
 class TestApprox:
     def test_consistent_mass(self):
-        out = run("approx", "nested").output
+        out = run("approx", "nested").stdout
         assert out == "pi nested_approx over w: 1 0.5 0.2\n# consistent: true\n"
 
     def test_conflicting_mass_reports_subnormalization(self):
         doc = "frame w: w1 w2\nmass split over w:\n  {w1} 0.5\n  {w2} 0.5\n"
-        out = run("approx", "split", doc=doc).output
+        out = run("approx", "split", doc=doc).stdout
         assert out == "pi split_approx over w: 1 1\n# consistent: false (subnormalization 0.5)\n"
 
     def test_csv(self):
-        out = run("--csv", "approx", "nested").output
+        out = run("--csv", "approx", "nested").stdout
         lines = out.splitlines()
         assert lines[0] == "atom,pi,consistent,subnormalization"
         assert lines[1] == "w1,1.000000,true,1.000000"
@@ -179,17 +179,17 @@ class TestApprox:
 
 class TestCondition:
     def test_possibilistic(self):
-        out = run("condition", "young").output
+        out = run("condition", "young").stdout
         lines = out.splitlines()
         assert lines[0].startswith("pi young_pi over age: 1 1 ")
         assert lines[1].startswith("# certainty: 0 0 ")
 
     def test_bayesian_with_prior(self):
-        out = run("condition", "young", "--prior", "ages").output
+        out = run("condition", "young", "--prior", "ages").stdout
         assert out.startswith("prob young_posterior over age: ")
 
     def test_csv_possibilistic(self):
-        out = run("--csv", "condition", "young").output
+        out = run("--csv", "condition", "young").stdout
         assert out.splitlines()[0] == "point,pi,certainty"
 
     def test_unknown_prior(self):
@@ -203,7 +203,7 @@ class TestCondition:
 
 class TestElicit:
     def test_statement_both(self):
-        out = run("elicit", "--statement", "likely").output
+        out = run("elicit", "--statement", "likely").stdout
         assert out == (
             "prob likely_maxent over w: 0.45 0.45 0.1\n"
             "mass likely_minspec over w:\n"
@@ -214,16 +214,16 @@ class TestElicit:
 
     def test_inline_statement(self):
         out = run("elicit", "--frame", "w", "--core", "{w3}", "--alpha", "1.0",
-                  "--method", "maxent").output
+                  "--method", "maxent").stdout
         assert out == "prob elicited_maxent over w: 0 0 1\n"
 
     def test_check_method(self):
-        out = run("elicit", "--statement", "likely", "--method", "check").output
+        out = run("elicit", "--statement", "likely", "--method", "check").stdout
         assert "subsets checked: 8" in out
         assert "bracket holds: yes" in out
 
     def test_csv_check_method(self):
-        out = run("--csv", "elicit", "--statement", "likely", "--method", "check").output
+        out = run("--csv", "elicit", "--statement", "likely", "--method", "check").stdout
         assert out == ("subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
                        "8,0.000000,0.100000,{w1 w2},true\n")
 
@@ -240,7 +240,7 @@ class TestElicit:
         assert "unknown statement 'ghost'" in result.stderr
 
     def test_csv_parts(self):
-        out = run("--csv", "elicit", "--statement", "likely").output
+        out = run("--csv", "elicit", "--statement", "likely").stdout
         assert out == (
             "part,key,value\n"
             "p,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
@@ -249,19 +249,19 @@ class TestElicit:
         )
 
     def test_csv_maxent(self):
-        out = run("--csv", "elicit", "--statement", "likely", "--method", "maxent").output
+        out = run("--csv", "elicit", "--statement", "likely", "--method", "maxent").stdout
         assert out == "part,key,value\np,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
 
 
 class TestTriangle:
     def test_always_csv_row(self):
-        assert run("triangle", "nested", "{w1}").output == "nested,0.500000,0.000000,possibilistic-axes,\n"
+        assert run("triangle", "nested", "{w1}").stdout == "nested,0.500000,0.000000,possibilistic-axes,\n"
 
     def test_csv_flag_prints_the_same_row(self):
-        assert run("--csv", "triangle", "nested", "{w1}").output == "nested,0.500000,0.000000,possibilistic-axes,\n"
+        assert run("--csv", "triangle", "nested", "{w1}").stdout == "nested,0.500000,0.000000,possibilistic-axes,\n"
 
     def test_prob_object(self):
-        assert run("triangle", "flat", "{w1}").output == "flat,0.200000,0.800000,probabilistic-edge,\n"
+        assert run("triangle", "flat", "{w1}").stdout == "flat,0.200000,0.800000,probabilistic-edge,\n"
 
     def test_trivial_subset_rejected(self):
         result = run("triangle", "nested", "{}", expect_exit=1)
@@ -270,24 +270,24 @@ class TestTriangle:
 
 class TestSimpleCommands:
     def test_cardinality(self):
-        assert run("cardinality", "nested").output == "expected cardinality = 1.7\n"
+        assert run("cardinality", "nested").stdout == "expected cardinality = 1.7\n"
 
     def test_cardinality_csv(self):
-        assert run("--csv", "cardinality", "nested").output == (
+        assert run("--csv", "cardinality", "nested").stdout == (
             "mass,expected_cardinality\nnested,1.700000\n")
 
     def test_classify(self):
-        assert run("classify", "nested").output == "classification = consonant (labels: consonant)\n"
+        assert run("classify", "nested").stdout == "classification = consonant (labels: consonant)\n"
 
     def test_classify_csv(self):
-        assert run("--csv", "classify", "torn").output == "mass,tag,labels\ntorn,general,general\n"
+        assert run("--csv", "classify", "torn").stdout == "mass,tag,labels\ntorn,general,general\n"
 
     def test_check(self):
-        out = run("check", "likely").output
+        out = run("check", "likely").stdout
         assert out.splitlines()[-1] == "bracket holds: yes"
 
     def test_check_csv(self):
-        out = run("--csv", "check", "likely").output
+        out = run("--csv", "check", "likely").stdout
         lines = out.splitlines()
         assert lines[0] == "subsets_checked,max_violation,tightest_width,tightest_subset,holds"
         assert lines[1].startswith("8,0.000000,0.100000,{w1 w2},true")
@@ -297,12 +297,12 @@ class TestSimpleCommands:
 
     @pytest.mark.parametrize("argv", [["check", "s"], ["elicit", "--statement", "s", "--method", "check"]])
     def test_check_covers_64_atoms(self, argv):
-        assert run(*argv, doc=self.BIG).output == (
+        assert run(*argv, doc=self.BIG).stdout == (
             "subsets checked: 18446744073709551616\n"
             "max violation: 2.66454e-15\n"
             "tightest width: 0.2 at {a1}\n"
             "bracket holds: yes\n")
-        assert run("--csv", *argv, doc=self.BIG).output == (
+        assert run("--csv", *argv, doc=self.BIG).stdout == (
             "subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
             "18446744073709551616,0.000000,0.200000,{a1},true\n")
 
@@ -310,7 +310,7 @@ class TestSimpleCommands:
         monkeypatch.setitem(sys.modules, "numpy", None)  # every `import numpy` fails
         atoms = " ".join(f"a{i}" for i in range(18))
         doc = f"frame w: {atoms}\nstatement s over w: core {{a0 a1 a2}} alpha 0.8\n"
-        assert run("check", "s", doc=doc).output.splitlines() == [
+        assert run("check", "s", doc=doc).stdout.splitlines() == [
             "subsets checked: 262144", "max violation: 3.33067e-16", "tightest width: 0.2 at {a0 a1 a2}",
             "bracket holds: yes"]
 
@@ -335,13 +335,13 @@ class TestPlumbing:
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "result.txt"
         result = run("--out", str(target), "cardinality", "nested")
-        assert result.output == ""
+        assert result.stdout == ""
         assert target.read_text() == "expected cardinality = 1.7\n"
 
     def test_csv_out_writes_file(self, tmp_path):
         target = tmp_path / "result.csv"
         result = run("--csv", "--out", str(target), "convert", "ramp")
-        assert result.output == ""
+        assert result.stdout == ""
         assert target.read_text() == "subset,weight\n{w1},0.300000\n{w1 w2},0.400000\n{w1 w2 w3},0.300000\n"
 
     def test_doc_parse_error_is_one_line(self):
@@ -390,9 +390,9 @@ class TestPlumbing:
         pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
                      "line 2: integer of 5000 digits is too long", 1, id="5000-digit-breakpoint"),
         pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "0.8_0"],
-                     "Invalid value for '--alpha': not a number: '0.8_0'", 2, id="underscore-alpha"),
+                     "argument --alpha: not a number: '0.8_0'", 2, id="underscore-alpha"),
         pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "\u0660.\u0668"],
-                     "Invalid value for '--alpha': not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
+                     "argument --alpha: not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
         pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "nan"],
                      "confidence nan outside [0, 1]", 1, id="nan-alpha"),
     ]
@@ -401,7 +401,7 @@ class TestPlumbing:
     def test_bad_input_is_one_line(self, tmp_path, doc, argv, message, status):
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         result = run(*argv, doc=doc, expect_exit=status)
-        error = result.stderr.splitlines(keepends=True)[-1]  # click's usage lines come first on exit 2
+        error = result.stderr.splitlines(keepends=True)[-1]  # the usage lines come first on exit 2
         assert error.startswith("Error: " + message.replace("TMP", str(tmp_path)))
         assert len(result.stderr.replace(str(tmp_path), "TMP").encode()) < 200
         assert list(tmp_path.iterdir()) == []
@@ -409,10 +409,30 @@ class TestPlumbing:
     def test_missing_doc_is_usage_error(self):
         assert credal("classify", "nested").exit_code == 2
 
+    # the runner checks that each is `Usage:` lines and then this one `Error:` line
+    @pytest.mark.parametrize("argv,error", [
+        ([], "the following arguments are required: --doc, COMMAND"),
+        (["--doc", "samples/ages.txt", "query"], "the following arguments are required: measure, name, subset"),
+        (["--doc", "samples/ages.txt", "elicit", "--method"], "argument --method: expected one argument"),
+        (["--doc", "samples/missing.txt", "classify", "m"],
+         "argument --doc: can't open 'samples/missing.txt': No such file or directory"),
+        (["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], "unrecognized arguments: --stat s1")],
+        ids=["bare", "query-without-arguments", "option-without-value", "doc-that-will-not-open", "abbreviated-option"])
+    def test_usage_error_ends_in_its_error_line(self, repo_root, argv, error):
+        result = credal(*argv)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == "Error: " + error
+
     def test_doc_file_path(self, repo_root):
         result = credal("--doc", "samples/horse_race.txt", "cardinality", "horse_leaky")
         assert result.exit_code == 0
-        assert result.output == "expected cardinality = 2.2\n"
+        assert result.stdout == "expected cardinality = 2.2\n"
+
+    def test_interrupt_is_one_line(self, monkeypatch):
+        def interrupted(**_):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(COMMANDS, "classify", interrupted)
+        assert run("classify", "nested", expect_exit=1).stderr == "Error: interrupted\n"
 
     # a command that breaks the outcome contract in each way `credal` must refuse
     @pytest.mark.parametrize("fault", [
@@ -421,7 +441,7 @@ class TestPlumbing:
         lambda **_: print("partial") or _get("ghost", ("mass", {}))],
         ids=["traceback", "non-finite", "exit-3", "stderr-on-success", "stdout-on-error"])
     def test_runner_refuses_a_broken_contract(self, monkeypatch, fault):
-        monkeypatch.setattr(main.commands["classify"], "callback", fault)
+        monkeypatch.setitem(COMMANDS, "classify", fault)
         with pytest.raises(AssertionError, match=r"^credal \['--doc', '-', 'classify', 'nested'\]"):
             credal("classify", "nested", doc=DOC)
 
@@ -458,24 +478,28 @@ class TestStartup:
     """`python -m credal.cli` in a fresh interpreter, as a user runs it."""
 
     @staticmethod
-    def python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    def python(*args: str, stdout=subprocess.PIPE, preexec_fn=None) -> subprocess.CompletedProcess:
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, input="",
-                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+        return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, input="", stdout=stdout,
+                              stderr=subprocess.PIPE, preexec_fn=preexec_fn, text=True, timeout=60)
 
-    # no command needs numpy (the in-process runs block it); the value classes generate no code at import
-    @pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+    # no command needs numpy (the in-process runs block it); the value classes generate no code at import;
+    # the command line is built on the standard library
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "click"])
     def test_import_leaves_unloaded(self, module):
         result = self.python("-c", f"import sys, credal.cli; print({module!r} in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
     def test_library_import_adds_no_typing(self):
-        # without `site`, which may load `typing` itself; a stdlib whose `re` or `enum` loads it excuses credal
+        # without `site`, which may load `typing` itself; a stdlib whose `re`, `enum` or `argparse` loads it
+        # excuses credal
         probe = "; import sys; print('typing' in sys.modules)"
-        results = [self.python("-S", "-c", imports + probe) for imports in ("import credal", "import re, enum")]
-        assert [r.returncode for r in results] == [0, 0], [r.stderr for r in results]
-        assert results[0].stdout == results[1].stdout
+        pairs = [("import credal", "import re, enum"), ("import credal.cli", "import re, enum, argparse")]
+        for ours, baseline in pairs:
+            results = [self.python("-S", "-c", imports + probe) for imports in (ours, baseline)]
+            assert [r.returncode for r in results] == [0, 0], [r.stderr for r in results]
+            assert results[0].stdout == results[1].stdout, ours
 
     def test_bracket_check_prints_the_transcript(self):
         argv = "--doc samples/statement10.txt --csv check s1"
@@ -496,3 +520,16 @@ class TestStartup:
                 result = self.python("-m", "credal.cli", *argv, stdout=full)
         assert result.returncode == 1
         assert result.stderr == "Error: cannot write the output: No space left on device\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before the interpreter starts")
+    @pytest.mark.parametrize("fd,argv,error", [
+        (0, ["--doc", "-", "classify", "m"], "cannot read <stdin>: Bad file descriptor"),
+        (1, ["--doc", "samples/horse_race.txt", "classify", "horse_leaky"],
+         "cannot write the output: Bad file descriptor")],
+        ids=["stdin", "stdout"])
+    def test_closed_standard_stream_is_one_line(self, fd, argv, error):
+        # as `credal ... <&-` or `>&-`: the interpreter starts without the descriptor, so `sys.stdin` or
+        # `sys.stdout` is None, and print() to None prints nothing
+        result = self.python("-m", "credal.cli", *argv, stdout=None, preexec_fn=lambda: os.close(fd))
+        assert result.returncode == 1
+        assert result.stderr == f"Error: {error}\n"
