@@ -16,11 +16,11 @@ import os
 import sys
 from argparse import ArgumentError, ArgumentParser, ArgumentTypeError, HelpFormatter
 
-from .document import Document, _number, parse_document
+from .document import Document, _declaration, _number, hnum, parse_document
 from .elicit import BracketReport, VagueStatement, bracket_check, maxent_distribution, minspec_mass
 from .errors import CredalError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
-from .frames import Frame, parse_subset
+from .frames import parse_subset
 from .fuzzy import FuzzySet, bayes_fuzzy_condition, possibilistic_condition
 from .possibility import PossibilityDistribution, consonant_approximate, contour
 
@@ -31,11 +31,6 @@ if TYPE_CHECKING:
 
 #: What every command returns: its CSV lines and its human-readable lines.
 Rendered = tuple[list[str], list[str]]
-
-
-def hnum(v: float) -> str:
-    """Human-readable number: 6 significant digits, no trailing zeros."""
-    return format(v, ".6g")
 
 
 def cnum(v: float) -> str:
@@ -59,19 +54,6 @@ def _mass_like(doc: Document, name: str) -> MassFunction:
     return found.as_mass() if isinstance(found, ProbabilityDistribution) else found
 
 
-def _render_mass_block(doc: Document, name: str, mass: MassFunction) -> list[str]:
-    lines = [f"mass {name} over {doc.frame_name(mass.frame)}:"]
-    for subset, weight in mass.focal_elements():
-        lines.append(f"  {subset} {hnum(weight)}")
-    return lines
-
-
-def _render_values_line(kind: str, doc: Document, name: str, frame: Frame,
-                        values: tuple[float, ...]) -> str:
-    body = " ".join(hnum(v) for v in values)
-    return f"{kind} {name} over {doc.frame_name(frame)}: {body}"
-
-
 def query(doc: Document, measure: str, name: str, subset_text: str) -> Rendered:
     """Evaluate one measure of one object on a subset literal like '{w1 w2}'."""
     if measure in ("Bel", "Pl"):
@@ -92,12 +74,12 @@ def convert(doc: Document, name: str) -> Rendered:
     if isinstance(found, PossibilityDistribution):
         mass = found.as_mass()
         return (["subset,weight"] + [f"{s},{cnum(w)}" for s, w in mass.focal_elements()],
-                _render_mass_block(doc, f"{name}_mass", mass))
+                _declaration(doc, f"{name}_mass", mass))
     if "consonant" not in found.classify().labels:
         raise CredalError(f"mass {name!r} is not consonant; use approx for dissonant evidence")
     pi = contour(found)
     return (["atom,value"] + [f"{a},{cnum(v)}" for a, v in zip(pi.frame.atoms, pi.values)],
-            [_render_values_line("pi", doc, f"{name}_pi", pi.frame, pi.values)])
+            _declaration(doc, f"{name}_pi", pi))
 
 
 def approx(doc: Document, name: str) -> Rendered:
@@ -109,7 +91,7 @@ def approx(doc: Document, name: str) -> Rendered:
         f"{a},{cnum(v)},{flag},{cnum(report.subnormalization)}"
         for a, v in zip(pi.frame.atoms, pi.values)
     ]
-    lines = [_render_values_line("pi", doc, f"{name}_approx", pi.frame, pi.values)]
+    lines = _declaration(doc, f"{name}_approx", pi)
     if report.consistent:
         lines.append("# consistent: true")
     else:
@@ -126,18 +108,15 @@ def condition(doc: Document, name: str, prior: str | None) -> Rendered:
     if prior is not None:
         posterior = bayes_fuzzy_condition(_get(prior, ("prob", doc.probs)), f)
         return (["point,p"] + [f"{a},{cnum(v)}" for a, v in zip(atoms, posterior.values)],
-                [_render_values_line(
-                    "prob", doc, f"{name}_posterior", posterior.frame, posterior.values)])
+                _declaration(doc, f"{name}_posterior", posterior))
     result = possibilistic_condition(f)
     rows = ["point,pi,certainty"]
     rows += [
         f"{a},{cnum(v)},{cnum(c)}"
         for a, v, c in zip(atoms, result.pi.values, result.certainty)
     ]
-    return rows, [
-        _render_values_line("pi", doc, f"{name}_pi", result.pi.frame, result.pi.values),
-        "# certainty: " + " ".join(hnum(c) for c in result.certainty),
-    ]
+    return rows, _declaration(doc, f"{name}_pi", result.pi) + [
+        "# certainty: " + " ".join(hnum(c) for c in result.certainty)]
 
 
 def _bracket_lines(report: BracketReport) -> Rendered:
@@ -161,13 +140,12 @@ def _statement_outputs(doc: Document, name: str, statement: VagueStatement,
     if method in ("maxent", "both"):
         p = maxent_distribution(statement)
         rows += [f"p,{a},{cnum(v)}" for a, v in zip(p.frame.atoms, p.values)]
-        lines.append(_render_values_line("prob", doc, f"{name}_maxent", p.frame, p.values))
+        lines += _declaration(doc, f"{name}_maxent", p)
     if method in ("minspec", "both"):
         mass, pi = minspec_mass(statement)
         rows += [f"focal,{s},{cnum(w)}" for s, w in mass.focal_elements()]
         rows += [f"pi,{a},{cnum(v)}" for a, v in zip(pi.frame.atoms, pi.values)]
-        lines += _render_mass_block(doc, f"{name}_minspec", mass)
-        lines.append(_render_values_line("pi", doc, f"{name}_minspec_pi", pi.frame, pi.values))
+        lines += _declaration(doc, f"{name}_minspec", mass) + _declaration(doc, f"{name}_minspec_pi", pi)
     return rows, lines
 
 
@@ -313,6 +291,11 @@ def _write(text: str, path: str | None) -> None:
             if to_file:
                 out.close()  # a full disk may show only when the file is flushed on close
     except OSError as exc:
+        if out is sys.stdout is not None:
+            # the text stays buffered: let the interpreter's final flush write it nowhere, not fail (status 120)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
         raise CredalError(f"cannot write the output: {exc.strerror}") from exc
 
 
@@ -341,7 +324,7 @@ class _Main:
 
     `main.main(args, prog_name=None)` and `name` are the calling convention of
     `CliRunner.invoke`, through which the benchmark replays commands in process.
-    They stay until ROADMAP item 4 moves that replay to the trace line.
+    They stay until ROADMAP item 5 moves that replay to the trace line.
     """
 
     name = "credal"

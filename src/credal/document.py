@@ -6,6 +6,7 @@ next declaration or at the end of input. Lines whose first non-blank
 character is `#` are comments. The line helpers raise plain ValidationErrors;
 `parse_document` re-raises every failure as a DocumentError carrying the
 1-based line number, which for a mass block's own checks is its header line.
+`_declaration` writes the mass, pi and prob lines that commands print.
 
     frame w: w1 w2 w3
     mass m1 over w:
@@ -113,6 +114,30 @@ def _integer(token: str) -> int:
         return int(token)
     except ValueError:
         raise ValidationError(f"integer of {len(token.lstrip('-'))} digits is too long") from None
+
+
+def hnum(v: float) -> str:
+    """Human-readable number: 6 significant digits, no trailing zeros."""
+    return format(v, ".6g")
+
+
+def _declaration(doc: Document, name: str,
+                 obj: MassFunction | PossibilityDistribution | ProbabilityDistribution) -> list[str]:
+    """The lines declaring `obj` as `name` over its frame's name in `doc`: 6 significant digits, or where
+    those would not rebuild it (a mass or prob off a sum of 1), digits that read back as its own floats."""
+    frame, mass = obj.frame, isinstance(obj, MassFunction)
+    masks, numbers = zip(*obj._weights.items()) if mass else ((), obj.values)
+    digits = [hnum(v) for v in numbers]
+    try:  # the constructor the parser calls, on the numbers it would read
+        shown = [float(d) for d in digits]
+        MassFunction._from_masks(frame, zip(masks, shown)) if mass else type(obj)(frame, shown)
+    except ValidationError:
+        digits = [repr(v) for v in numbers]
+    if mass:
+        return [f"mass {name} over {doc.frame_name(frame)}:"] + [
+            f"  {frame.from_mask(mask)} {d}" for mask, d in zip(masks, digits)]
+    kind = "pi" if isinstance(obj, PossibilityDistribution) else "prob"
+    return [f"{kind} {name} over {doc.frame_name(frame)}: {' '.join(digits)}"]
 
 
 class _Parser:

@@ -479,7 +479,9 @@ class TestStartup:
 
     @staticmethod
     def python(*args: str, stdout=subprocess.PIPE, preexec_fn=None) -> subprocess.CompletedProcess:
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # buffered stdout, as users and CI runners have it, whatever this test process was given
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
         return subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, input="", stdout=stdout,
                               stderr=subprocess.PIPE, preexec_fn=preexec_fn, text=True, timeout=60)
 

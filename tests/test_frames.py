@@ -38,6 +38,13 @@ class TestFrameConstruction:
         with pytest.raises(ValidationError, match="unknown label 'w9'"):
             w3.index("w9")
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    def test_index_and_membership_of_every_atom(self, n):
+        frame = Frame([f"a{i}" for i in range(n)])
+        for i, atom in enumerate(frame.atoms):
+            assert frame.index(atom) == i
+            assert atom in frame.subset([atom])
+
 
 class TestParseFrame:
     def test_basic(self):

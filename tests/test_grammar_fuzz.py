@@ -4,7 +4,9 @@ Every invocation runs through `cli_runner.credal`, which checks the outcome
 contract: exit 0 with finite numbers on stdout, exit 1 with exactly one
 `Error:` line on stderr, or exit 2 with the usage message, and never a
 traceback. This module adds what the runner cannot see: the numbers in an
---out file, and how `elicit --alpha` reads a foreign number token.
+--out file, how `elicit --alpha` reads a foreign number token, and that
+what `convert`, `approx`, `condition` and `elicit` declare reads back in
+after the document it came from.
 Hypothesis draws the structure (which declarations, which commands and
 options); a drawn `random.Random` fills in the per-atom values, which keeps
 a 64-atom document cheap to generate.
@@ -16,10 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cli_runner import credal, non_finite
+from credal import parse_document
 
 NAMES = ["w", "v", "m", "p", "s", "y", "age"]
 KINDS = ["mass", "pi", "prob", "fuzzy", "statement"]
 COMMANDS = ["query", "convert", "approx", "condition", "elicit", "triangle", "cardinality", "classify", "check"]
+# the commands whose human output declares objects; `elicit --method check` reports instead
+DECLARING = {"convert", "approx", "condition", "elicit"}
 # legal grades where rounding shows: zero, the least subnormal, one that vanishes next to 1, 1 ulp below 1
 EDGE_GRADES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 1 / 3, 0.5, 1 - 2**-53, 1.0]
 # number tokens `float` reads but a document, and so `elicit --alpha`, refuses: digit separators, other scripts' digits
@@ -225,3 +230,7 @@ def test_every_invocation_ends_in_numbers_one_error_line_or_usage(out_dir, case)
             assert result.exit_code == 2 and "Error: argument --alpha: not a number" in result.stderr, where
         if result.exit_code == 0 and str(target) in argv:
             assert non_finite(target.read_text()) == [], where
+        if result.exit_code == 0 and "--csv" not in argv and DECLARING.intersection(argv) \
+                and argv[-2:] != ["--method", "check"]:
+            # the derived names (`_pi`, `_mass`, ...) are free: NAMES holds no suffixed name
+            parse_document(doc + (target.read_text() if str(target) in argv else result.stdout))
