@@ -321,6 +321,8 @@ class TrianglePoint(Record):
 
     @staticmethod
     def locate(x: float, y: float) -> TrianglePoint:
+        _unit(x, "triangle coordinate")
+        _unit(y, "triangle coordinate")
         if x + y > 1.0 + EQ_TOLERANCE:
             raise ValidationError(f"point ({x}, {y}) lies outside the triangle (x + y > 1)")
 

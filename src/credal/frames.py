@@ -7,6 +7,7 @@ so the whole powerset of any supported frame can be enumerated cheaply.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Iterator
 
@@ -18,6 +19,14 @@ MAX_ATOMS = 64
 _FORBIDDEN_CHARS = set("{}:,")
 
 _FRAME_LINE = re.compile(r"^frame\s+(?P<name>\S+)\s*:\s*(?P<labels>.*)$")
+
+
+def _index(value: int, what: str) -> int:
+    """`value` as the integer `operator.index` reads, or a ValidationError naming it as `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
 
 
 def _check_label(label: str) -> None:
@@ -123,6 +132,7 @@ class Subset(Record):
     __slots__ = __match_args__ = ("frame", "mask")
 
     def __init__(self, frame: Frame, mask: int):
+        mask = _index(mask, "subset mask")
         if not 0 <= mask < 1 << len(frame):
             raise ValidationError(f"subset mask {mask:#x} outside the frame's powerset")
         object.__setattr__(self, "frame", frame)

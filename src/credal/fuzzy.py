@@ -17,14 +17,13 @@ crisp.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Sequence
 from math import fsum, isfinite
 
 from ._record import Record
 from .errors import ConditioningError, NormalizationError, ValidationError
 from .evidence import MassFunction, ProbabilityDistribution
-from .frames import Frame, MAX_ATOMS, _check_same_frame
+from .frames import Frame, MAX_ATOMS, _check_same_frame, _index
 from .possibility import PossibilityDistribution
 
 NULL_EVENT_TOLERANCE = 1e-12
@@ -47,6 +46,7 @@ class NumericScale(Record):
     __match_args__ = ("lower", "upper")
 
     def __init__(self, lower: int, upper: int):
+        lower, upper = _index(lower, "scale bound"), _index(upper, "scale bound")
         bounds = f"{_shown(lower)}..{_shown(upper)}"
         if lower > upper:
             raise ValidationError(f"scale bounds out of order: {bounds}")
@@ -73,10 +73,7 @@ class NumericScale(Record):
 
     def index(self, x: int) -> int:
         """The position of point `x` among the scale's points; `x` must be an integer."""
-        try:
-            x = operator.index(x)
-        except TypeError:
-            raise ValidationError(f"scale point {x!r} is not an integer") from None
+        x = _index(x, "scale point")
         if x not in self:
             raise ValidationError(f"point {_shown(x)} outside scale {_shown(self.lower)}..{_shown(self.upper)}")
         return x - self.lower

@@ -32,6 +32,7 @@ from credal import (
     pi_to_mass,
 )
 from cli_runner import credal
+from laws import frame_of, random_consonant_mass, random_general_mass, random_grades
 from oracles import (
     maximize_entropy,
     sample_feasible_distributions,
@@ -49,36 +50,6 @@ def certify(name: str, start: float | None = None, budget: float | None = None) 
     elapsed = time.perf_counter() - start
     assert elapsed < budget, f"{name}: {elapsed:.2f}s exceeded the {budget:.0f}s budget"
     print(f"\nPASS {name} ({elapsed:.2f}s < {budget:.0f}s)")
-
-
-def random_grades(rng: random.Random, n: int) -> list[float]:
-    values = [rng.random() for _ in range(n)]
-    values[rng.randrange(n)] = 1.0
-    return values
-
-
-def random_consonant_mass(rng: random.Random, frame: Frame) -> MassFunction:
-    n = len(frame)
-    order = rng.sample(range(n), n)
-    depth = rng.randint(1, n)
-    mask = 0
-    chain = []
-    for i in order[:depth]:
-        mask |= 1 << i
-        chain.append(mask)
-    picks = sorted(rng.sample(chain, rng.randint(1, depth)))
-    weights = [rng.random() + 0.05 for _ in picks]
-    total = sum(weights)
-    return MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(picks, weights)])
-
-
-def random_general_mass(rng: random.Random, frame: Frame) -> MassFunction:
-    n = len(frame)
-    count = rng.randint(1, min(10, (1 << n) - 1))
-    masks = rng.sample(range(1, 1 << n), count)
-    weights = [rng.random() + 0.02 for _ in masks]
-    total = sum(weights)
-    return MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
 
 
 def test_three_outcome_paradox_exact():
@@ -121,13 +92,13 @@ def test_levelcut_roundtrips():
 
     for _ in range(1000):
         n = rng.randint(2, 16)
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         pi = make_possibility(frame, random_grades(rng, n))
         assert contour(pi_to_mass(pi)).values == pi.values
 
     for _ in range(1000):
         n = rng.randint(2, 16)
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         m = random_consonant_mass(rng, frame)
         back = pi_to_mass(contour(m))
         focals = dict(m.focal_elements())
@@ -144,7 +115,7 @@ def test_consonant_decomposability_and_limit_laws():
     rng = random.Random(103)
     for _ in range(100):
         n = rng.randint(2, 10)
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         m = random_consonant_mass(rng, frame)
         bel = np.asarray(m.belief_table())
         pl = np.asarray(m.plausibility_table())
@@ -170,7 +141,7 @@ def test_min_rule_strict_inequality_witness():
     best_gap = 0.0
     for _ in range(50):
         n = rng.randint(2, 6)
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         pi = make_possibility(frame, random_grades(rng, n))
         for a_mask in range(1, 1 << n):
             for b_mask in range(1, 1 << n):
@@ -186,7 +157,7 @@ def test_min_rule_strict_inequality_witness():
 
 def statement_grid():
     for n in (5, 10, 20):
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         for k in range(1, n):
             core = frame.from_mask((1 << k) - 1)
             for alpha in ALPHA_GRID:
@@ -225,7 +196,7 @@ def test_probability_bracket_exhaustive():
     rng = random.Random(127)
     checked = 0
     for n in range(2, 13):
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         for alpha in ALPHA_GRID:
             cores = [frame.from_mask((1 << k) - 1) for k in range(1, n)]
             cores += [frame.from_mask(rng.randint(1, (1 << n) - 2)) for _ in range(3)]
@@ -294,7 +265,7 @@ def test_duality_monotonicity_suite():
     rng = random.Random(137)
     for trial in range(1000):
         n = rng.randint(1, 10)
-        frame = Frame([f"w{i}" for i in range(n)])
+        frame = frame_of(n)
         bayesian = trial % 5 == 0
         if bayesian:
             weights = [rng.random() + 0.01 for _ in range(n)]

@@ -1,14 +1,12 @@
 import re
 import textwrap
-from math import fsum, isclose
+from math import fsum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_runner import credal
-from credal import (DocumentError, Frame, MassFunction, PossibilityDistribution, ProbabilityDistribution,
-                    VagueStatement, maxent_distribution, minspec_mass, parse_document, pi_to_mass)
-from credal.document import _declaration
+from credal import DocumentError, Frame, MassFunction, parse_document
 
 FULL_DOC = textwrap.dedent("""\
     # a frame, ways of weighing it, and a scale with a vague predicate
@@ -294,78 +292,15 @@ def mass_document(draw):
     return text, lines
 
 
-@given(mass_document(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_parsed_mass_matches_public_constructor_and_duality(doc_lines, data):
+@given(mass_document())
+@settings(max_examples=60)
+def test_parsed_mass_matches_public_constructor(doc_lines):
+    # focal set by focal set and bit for bit, so the parsed mass obeys every law the public one does
     text, lines = doc_lines
     doc = parse_document(text)
     frame, mass = doc.frames["w"], doc.masses["m"]
     public = MassFunction(frame, [(frame.subset(labels), w) for labels, w in lines])
     assert list(mass.focal_elements()) == list(public.focal_elements())
-    full = (1 << len(frame)) - 1
-    for mask in data.draw(st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=8)):
-        a = frame.from_mask(mask)
-        assert abs(mass.plausibility(a) - (1.0 - mass.belief(a.complement()))) <= 1e-12
-
-
-# weights and grades where rounding to 6 digits shows: the least subnormal, a repeating fraction, 1 ulp below 1
-EDGE_NUMBERS = [5e-324, 1e-300, 1e-17, 1 / 3, 2 / 3, 0.5, 1 - 2**-53, 1.0]
-
-
-@st.composite
-def declared_objects(draw):
-    """A frame of 1-64 atoms and an object a command declares over it: a mass, a pi or a prob.
-
-    Some are drawn directly, with edge numbers among the weights and grades;
-    the rest are what `convert` and `elicit` declare: `pi_to_mass` of a
-    drawn pi, and `minspec_mass` and `maxent_distribution` of a drawn
-    statement.
-    """
-    n = draw(st.integers(min_value=1, max_value=64))
-    frame = Frame([f"a{i}" for i in range(n)])
-    numbers = st.lists(st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(min_value=0.0, max_value=1.0)),
-                       min_size=n, max_size=n)
-    kind = draw(st.sampled_from(["mass", "pi", "prob", "pi_to_mass", "minspec", "maxent"] if n > 1
-                                else ["mass", "pi", "prob", "pi_to_mass"]))
-    if kind == "mass":
-        masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=40))
-        raw = draw(st.lists(st.sampled_from(EDGE_NUMBERS) | st.floats(min_value=1e-300, max_value=1.0),
-                            min_size=len(masks), max_size=len(masks)))
-        total = fsum(raw)
-        return frame, MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, raw)])
-    if kind in ("pi", "pi_to_mass"):
-        grades = draw(numbers)
-        grades[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
-        pi = PossibilityDistribution(frame, grades)
-        return frame, pi if kind == "pi" else pi_to_mass(pi)
-    if kind == "prob":
-        raw = draw(numbers.filter(lambda values: fsum(values) > 0.0))
-        total = fsum(raw)
-        return frame, ProbabilityDistribution(frame, [v / total for v in raw])
-    core = frame.from_mask(draw(st.integers(min_value=1, max_value=(1 << n) - 2)))
-    alpha = draw(st.sampled_from(EDGE_NUMBERS) | st.floats(min_value=0.0, max_value=1.0))
-    statement = VagueStatement(core, alpha)
-    return frame, maxent_distribution(statement) if kind == "maxent" else minspec_mass(statement)[0]
-
-
-def near(got: float, want: float) -> bool:
-    return isclose(got, want, rel_tol=1e-5, abs_tol=1e-12)
-
-
-@given(declared_objects())
-@settings(max_examples=150, deadline=None)
-def test_declaration_reads_back(frame_obj):
-    frame, obj = frame_obj
-    header = f"frame w: {' '.join(frame.atoms)}"
-    lines = _declaration(parse_document(header), "x", obj)
-    doc = parse_document("\n".join([header, *lines]))
-    if isinstance(obj, MassFunction):
-        back = doc.masses["x"]
-        assert list(back._weights) == list(obj._weights), lines
-        assert all(near(b, w) for b, w in zip(back._weights.values(), obj._weights.values())), lines
-    else:
-        back = (doc.pis if isinstance(obj, PossibilityDistribution) else doc.probs)["x"]
-        assert all(near(b, v) for b, v in zip(back.values, obj.values)), lines
 
 
 ATOMS_64 = " ".join(f"a{i}" for i in range(64))

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from math import fsum, nextafter
+from math import fsum
 
 import numpy as np
 import pytest
@@ -14,22 +14,14 @@ from credal import (
     TrianglePoint,
     TriangleRegion,
     ValidationError,
-    VagueStatement,
-    bracket_check,
     contour,
     evidence,
     make_mass,
     membership_from_random_set,
-    minspec_mass,
 )
+from conftest import TOL
+from laws import frame_of, masses, random_general_mass
 from oracles import reference_moebius, reference_zeta, subset_sum_table
-
-TOL = 1e-12
-
-
-@pytest.fixture
-def w3() -> Frame:
-    return Frame(["w1", "w2", "w3"])
 
 
 @pytest.fixture
@@ -40,15 +32,6 @@ def staircase(w3) -> MassFunction:
         (w3.subset(["w1", "w2"]), 0.3),
         (w3.full, 0.2),
     ])
-
-
-def random_mass(rng: random.Random, frame: Frame) -> MassFunction:
-    n = len(frame)
-    count = rng.randint(1, min(8, (1 << n) - 1))
-    masks = rng.sample(range(1, 1 << n), count)
-    weights = [rng.random() + 0.05 for _ in masks]
-    total = fsum(weights)
-    return MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
 
 
 class TestConstruction:
@@ -175,19 +158,12 @@ class TestExpectedCardinality:
 
     def test_vacuous_is_maximal(self):
         for n in (1, 3, 7):
-            frame = Frame([f"w{i}" for i in range(n)])
+            frame = frame_of(n)
             assert MassFunction.vacuous(frame).expected_cardinality() == pytest.approx(n, abs=TOL)
 
     def test_bayesian_is_one(self, w3):
         m = ProbabilityDistribution(w3, [0.2, 0.3, 0.5]).as_mass()
         assert m.expected_cardinality() == pytest.approx(1.0, abs=TOL)
-
-    def test_bounds_on_random_masses(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            frame = Frame([f"w{i}" for i in range(rng.randint(1, 8))])
-            m = random_mass(rng, frame)
-            assert 1.0 - TOL <= m.expected_cardinality() <= len(frame) + TOL
 
 
 class TestClassify:
@@ -264,11 +240,16 @@ class TestTriangle:
         with pytest.raises(ValidationError):
             TrianglePoint.locate(0.7, 0.7)
 
+    @pytest.mark.parametrize("x,y", [(float("nan"), 0.0), (-0.5, 0.2), (2.0, -1.5)])
+    def test_locate_rejects_coordinates_outside_the_unit_interval(self, x, y):
+        with pytest.raises(ValidationError, match=r"triangle coordinate .* outside \[0, 1\]"):
+            TrianglePoint.locate(x, y)
+
     def test_symmetric_support_never_exceeds_half(self):
         rng = random.Random(23)
         for _ in range(300):
-            frame = Frame([f"w{i}" for i in range(rng.randint(2, 6))])
-            m = random_mass(rng, frame)
+            frame = frame_of(rng.randint(2, 6))
+            m = random_general_mass(rng, frame)
             a = frame.from_mask(rng.randint(1, (1 << len(frame)) - 2))
             pt = m.triangle_point(a)
             if pt.ignorance is not None:
@@ -299,79 +280,18 @@ class TestProbabilityDistribution:
         assert p.probability_of(w3.empty) == 0.0
 
 
-@st.composite
-def small_random_mass(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    frame = Frame([f"w{i}" for i in range(n)])
-    count = draw(st.integers(min_value=1, max_value=min(6, (1 << n) - 1)))
-    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
-                          min_size=count, max_size=count, unique=True))
-    weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
-                            min_size=count, max_size=count))
-    total = fsum(weights)
-    return frame, MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
-
-
-@given(small_random_mass())
-@settings(max_examples=150, deadline=None)
-def test_duality_and_ordering_hold_exhaustively(fm):
-    frame, m = fm
-    bel = m.belief_table()
-    pl = m.plausibility_table()
-    full = (1 << len(frame)) - 1
-    for mask in range(full + 1):
-        assert bel[mask] + pl[full ^ mask] == pytest.approx(1.0, abs=TOL)
-        assert bel[mask] <= pl[mask] + TOL
-
-
-@given(small_random_mass())
-@settings(max_examples=100, deadline=None)
-def test_monotonicity_under_inclusion(fm):
-    frame, m = fm
-    bel = m.belief_table()
-    pl = m.plausibility_table()
-    n = len(frame)
-    # the covering relation (drop one atom) implies the full order by transitivity
-    for mask in range(1, 1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                below = mask ^ (1 << i)
-                assert bel[below] <= bel[mask] + TOL
-                assert pl[below] <= pl[mask] + TOL
-
-
 @pytest.mark.parametrize("n", [21, 64])
 def test_tables_on_large_frames_are_refused(n):
-    m = MassFunction.vacuous(Frame([f"w{i}" for i in range(n)]))
+    m = MassFunction.vacuous(frame_of(n))
     for table in (m.belief_table, m.plausibility_table):
         with pytest.raises(ValidationError, match=f"frame has {n} atoms; powerset tables are capped at 20"):
             table()
 
 
-# weights far below the rest: subnormals, 1e-300 and 1e-17, which vanish next to 1 in a sum
-tiny_weights = st.one_of(
-    st.floats(min_value=5e-324, max_value=2.2e-308),
-    st.sampled_from([5e-324, 1e-300, 1e-17]),
-)
-
-
-@st.composite
-def mass_with_tiny_weights(draw, max_atoms=16):
-    n = draw(st.integers(min_value=1, max_value=max_atoms))
-    frame = Frame([f"w{i}" for i in range(n)])
-    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
-                          min_size=1, max_size=10, unique=True))
-    weights = [draw(st.floats(min_value=0.01, max_value=1.0))]
-    weights += [draw(st.one_of(st.floats(min_value=0.01, max_value=1.0), tiny_weights)) for _ in masks[1:]]
-    total = fsum(weights)
-    return frame, MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
-
-
-@given(mass_with_tiny_weights())
-@settings(max_examples=20, deadline=None)
-def test_tables_equal_the_element_loop_bit_for_bit(fm):
-    frame, m = fm
-    n = len(frame)
+@given(masses(16))
+@settings(max_examples=20)
+def test_tables_equal_the_element_loop_bit_for_bit(m):
+    n = len(m.frame)
     weights = {subset.mask: w for subset, w in m.focal_elements()}
     ref = reference_zeta(n, weights)
     full = (1 << n) - 1
@@ -384,23 +304,6 @@ def test_tables_equal_the_element_loop_bit_for_bit(fm):
     for mask, w in weights.items():
         expected[mask] = w
     assert max(abs(reference_moebius(n, bel) - expected)) <= TOL
-
-
-@given(mass_with_tiny_weights(max_atoms=64), st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
-                                                      min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_scalar_laws_on_general_masses(fm, pairs):
-    frame, m = fm
-    full = (1 << len(frame)) - 1
-    for a, b in pairs:
-        # a chain A <= A | B of sampled subsets
-        low, high = frame.from_mask(a & full), frame.from_mask((a | b) & full)
-        bel, pl = m.belief(low), m.plausibility(low)
-        # point queries lie in [0, 1] exactly, however the renormalized weights round
-        assert 0.0 <= bel <= pl <= 1.0
-        assert abs(pl - (1.0 - m.belief(low.complement()))) <= TOL
-        assert bel <= m.belief(high) + TOL
-        assert pl <= m.plausibility(high) + TOL
 
 
 def test_point_queries_stop_at_one_where_the_weights_sum_an_ulp_above_it():
@@ -416,43 +319,23 @@ def test_point_queries_stop_at_one_where_the_weights_sum_an_ulp_above_it():
     assert abs(m.plausibility_table()[1] - m.plausibility(frame.singleton("a"))) <= TOL
 
 
-@given(mass_with_tiny_weights(max_atoms=64))
-@settings(max_examples=30, deadline=None)
-def test_membership_is_the_contour_at_every_point(fm):
-    frame, m = fm
+@given(masses(64))
+@settings(max_examples=30)
+def test_membership_is_the_contour_at_every_point(m):
     values = contour(m).values
-    for i, atom in enumerate(frame.atoms):
+    for i, atom in enumerate(m.frame.atoms):
         assert membership_from_random_set(m, atom) == values[i]
 
 
-@given(mass_with_tiny_weights(max_atoms=14), st.lists(st.integers(min_value=0), min_size=1, max_size=16))
-@settings(max_examples=30, deadline=None)
-def test_tables_equal_the_scalars(fm, masks):
-    frame, m = fm
-    full = (1 << len(frame)) - 1
+@given(masses(14), st.lists(st.integers(min_value=0), min_size=1, max_size=16))
+@settings(max_examples=30)
+def test_tables_equal_the_scalars(m, masks):
+    full = (1 << len(m.frame)) - 1
     bel, pl = m.belief_table(), m.plausibility_table()
     for mask in masks + [0, full]:
-        a = frame.from_mask(mask & full)
+        a = m.frame.from_mask(mask & full)
         assert abs(bel[a.mask] - m.belief(a)) <= TOL
         assert abs(pl[a.mask] - m.plausibility(a)) <= TOL
-
-
-@given(st.integers(min_value=2, max_value=64).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(1 << n) - 2))),
-       st.one_of(st.floats(min_value=0.0, max_value=1.0), tiny_weights, st.sampled_from([nextafter(1.0, 0.0), 1.0])))
-@settings(max_examples=60, deadline=None)
-def test_bracket_holds_up_to_64_atoms(core, alpha):
-    n, mask = core
-    frame = Frame([f"w{i}" for i in range(n)])
-    s = VagueStatement(frame.from_mask(mask), alpha)
-    report = bracket_check(s)
-    assert report.holds
-    assert report.subsets_checked == 1 << n
-    # least width 1 - Bel(core), first reached at the core or at the lowest atom outside it
-    width = 1.0 - minspec_mass(s)[0].belief(s.core)
-    outside = next(1 << i for i in range(n) if not mask >> i & 1)
-    assert report.tightest_width == width
-    assert report.tightest_subset.mask == (min(mask, outside) if width < 1.0 else 1)
 
 
 class TestTableCache:
@@ -464,14 +347,14 @@ class TestTableCache:
             return zeta(n, seeds)
 
         monkeypatch.setattr(evidence, "_zeta", counting)
-        m = random_mass(random.Random(5), Frame([f"w{i}" for i in range(6)]))
+        m = random_general_mass(random.Random(5), frame_of(6))
         bel = m.belief_table()
         m.plausibility_table()
         assert m.belief_table() == bel
         assert calls == [6]
 
     def test_mutating_a_returned_table_changes_nothing(self):
-        m = random_mass(random.Random(6), Frame([f"w{i}" for i in range(5)]))
+        m = random_general_mass(random.Random(6), frame_of(5))
         bel, pl = m.belief_table(), m.plausibility_table()
         expected_bel, expected_pl = bel.copy(), pl.copy()
         bel[:] = [2.0] * len(bel)
@@ -480,8 +363,8 @@ class TestTableCache:
         assert m.plausibility_table() == expected_pl
 
     def test_equality_and_repr_ignore_the_table(self):
-        frame = Frame([f"w{i}" for i in range(4)])
-        used, fresh = (random_mass(random.Random(7), frame) for _ in range(2))
+        frame = frame_of(4)
+        used, fresh = (random_general_mass(random.Random(7), frame) for _ in range(2))
         text = repr(used)
         used.belief_table()
         assert used == fresh and repr(used) == text
@@ -545,7 +428,7 @@ def test_skipped_blocks_leave_the_numpy_table_bit_for_bit(n, layout):
 
 
 def test_vacuous_tables_at_the_cap_are_exact():
-    m = MassFunction.vacuous(Frame([f"w{i}" for i in range(evidence.TABLE_MAX_ATOMS)]))
+    m = MassFunction.vacuous(frame_of(evidence.TABLE_MAX_ATOMS))
     size = 1 << evidence.TABLE_MAX_ATOMS
     assert m.belief_table() == [0.0] * (size - 1) + [1.0]
     assert m.plausibility_table() == [0.0] + [1.0] * (size - 1)

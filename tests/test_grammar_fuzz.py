@@ -216,7 +216,7 @@ def out_dir(tmp_path_factory):
 
 @given(cases())
 # a slower machine may take long over a few 64-atom documents; that is not a fault of the test
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 def test_every_invocation_ends_in_numbers_one_error_line_or_usage(out_dir, case):
     doc, argvs = case
     target = out_dir / "out.txt"

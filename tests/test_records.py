@@ -43,6 +43,7 @@ from credal import (
 )
 from credal._record import Record
 from conftest import REPO_ROOT
+from laws import frame_of
 
 W = "Frame(atoms=('a', 'b', 'c'))"
 
@@ -284,7 +285,7 @@ def records(draw):
     kind = draw(st.integers(0, 4))
     if kind == 0:
         n = draw(st.integers(1, 8))
-        return Subset(Frame([f"x{i}" for i in range(n)]), draw(st.integers(0, (1 << n) - 1)))
+        return Subset(frame_of(n), draw(st.integers(0, (1 << n) - 1)))
     if kind == 1:
         return ConsistencyReport(draw(st.booleans()), draw(floats))
     if kind == 2:
@@ -298,7 +299,7 @@ def records(draw):
 
 @given(records(), records())
 # a loaded machine may draw slowly; that is not a fault of the classes
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(suppress_health_check=[HealthCheck.too_slow])
 def test_records_behave_as_their_dataclass_model(a, b):
     text, values = model(a)
     assert repr(a) == text
