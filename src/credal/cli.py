@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 import sys
 from argparse import ArgumentError, ArgumentParser, ArgumentTypeError, HelpFormatter
 
@@ -201,15 +202,22 @@ COMMANDS = {command.__name__: command for command in (
     query, convert, approx, condition, elicit, triangle, cardinality, classify, check)}
 
 
+# an argument that starts like a negative number (`-1e-3`, `-.5`, `-inf`, `-nan`) is a value, which `_number`
+# then reads; argparse's own pattern takes only whole `-1` and `-.5` forms, so `--alpha -1e-3` lacked its value
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(ArgumentParser):
     """A credal parser: no abbreviated options; a usage error is `Usage:` lines, one `Error:` line, status 2.
 
     Help and usage wrap at 80 columns whatever the terminal, so a usage error reads the same everywhere.
+    An argument that starts like a negative number is a value, not an option.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs, allow_abbrev=False,
                          formatter_class=lambda prog: HelpFormatter(prog, width=80))
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, self.format_usage().replace("usage: ", "Usage: ", 1) + f"Error: {message}\n")

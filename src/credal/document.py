@@ -3,10 +3,14 @@
 One declaration per line. A mass declaration opens a block whose following
 lines each carry one focal subset with its weight; the block closes at the
 next declaration or at the end of input. Lines whose first non-blank
-character is `#` are comments. The line helpers raise plain ValidationErrors;
-`parse_document` re-raises every failure as a DocumentError carrying the
-1-based line number, which for a mass block's own checks is its header line.
-`_declaration` writes the mass, pi and prob lines that commands print.
+character is `#` are comments. `parse_document` reads the lines in one loop,
+which reads a focal line itself and hands a declaration to three helpers:
+`_declared` reads its kind, name and syntax, `_built` builds its object, and
+`_closed` builds a mass when its block closes. The helpers raise plain
+ValidationErrors, and the loop re-raises every failure as a DocumentError
+carrying the 1-based line number, which for a mass block's own checks is its
+header line. `_declaration` writes the mass, pi and prob lines that commands
+print.
 
     frame w: w1 w2 w3
     mass m1 over w:
@@ -41,25 +45,15 @@ _STATEMENT_REST = re.compile(
 )
 _BREAKPOINT = re.compile(r"\(\s*(-?[0-9]+)\s*,\s*([^\s(),]+)\s*\)")
 
-# the Document table that holds each kind of declaration
-_TABLES = {
-    "frame": "frames",
-    "scale": "scales",
-    "mass": "masses",
-    "pi": "pis",
-    "prob": "probs",
-    "fuzzy": "fuzzies",
-    "statement": "statements",
-}
+# the keyword declaring each kind of object, in the order of Document's tables
+_KINDS = ("frame", "scale", "mass", "pi", "prob", "fuzzy", "statement")
 
 
 class Document(Record):
-    """All named objects of one parsed document, one table per kind; unlike other records, mutable."""
+    """All named objects of one parsed document, one dict per kind; its fields refuse assignment, its dicts do not."""
 
     __slots__ = __match_args__ = ("frames", "scales", "masses", "pis", "probs", "fuzzies", "statements")
     __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(
         self,
@@ -71,13 +65,8 @@ class Document(Record):
         fuzzies: dict[str, FuzzySet] | None = None,
         statements: dict[str, VagueStatement] | None = None,
     ):
-        self.frames = {} if frames is None else frames
-        self.scales = {} if scales is None else scales
-        self.masses = {} if masses is None else masses
-        self.pis = {} if pis is None else pis
-        self.probs = {} if probs is None else probs
-        self.fuzzies = {} if fuzzies is None else fuzzies
-        self.statements = {} if statements is None else statements
+        for field, table in zip(self.__slots__, (frames, scales, masses, pis, probs, fuzzies, statements)):
+            object.__setattr__(self, field, {} if table is None else table)
 
     def frame_name(self, frame: Frame) -> str:
         """The declared name of a frame or scale; an undeclared frame reports its atoms."""
@@ -140,134 +129,105 @@ def _declaration(doc: Document, name: str,
     return [f"{kind} {name} over {doc.frame_name(frame)}: {' '.join(digits)}"]
 
 
-class _Parser:
-    def __init__(self) -> None:
-        self.doc = Document()
-        # open mass block, if any: (name, frame, (mask, weight) pairs, header line)
-        self.block: tuple[str, Frame, list[tuple[int, float]], int] | None = None
-        # the declaration that owns each frame's atoms, e.g. "frame 'w'"
-        self.owners: dict[Frame, str] = {}
-
-    def _declare(self, kind: str, name: str) -> dict:
-        table: dict = getattr(self.doc, _TABLES[kind])
-        if name in table:
-            raise ValidationError(f"duplicate {kind} name {name!r}")
-        return table
-
-    def _claim(self, kind: str, name: str, frame: Frame) -> None:
-        """Give the frame's atoms to this declaration alone, so frame_name finds it."""
-        owner = self.owners.get(frame)
-        if owner is not None:
-            raise ValidationError(f"{kind} {name!r} repeats the atoms of {owner}")
-        self.owners[frame] = f"{kind} {name!r}"
-
-    def _close_block(self) -> None:
-        if self.block is None:
-            return
-        name, frame, assignments, header = self.block
-        self.block = None
-        if not assignments:
-            raise DocumentError(f"mass {name!r} declares no focal elements", header)
-        try:
-            self.doc.masses[name] = MassFunction._from_masks(frame, assignments)
-        except CredalError as exc:
-            raise DocumentError(str(exc), header) from exc
-
-    def feed(self, raw: str, line: int) -> None:
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            return
-        if text.startswith("{"):
-            self._focal(text)
-            return
-        self._close_block()
-        word = text.split(None, 1)[0]
-        if word == "frame":
-            self._frame(text)
-        elif word == "scale":
-            self._scale(text)
-        elif word in _TABLES:
-            self._over(text, line)
-        else:
-            raise ValidationError(f"unrecognized declaration: {text!r}")
-
-    def _focal(self, text: str) -> None:
-        if self.block is None:
-            raise ValidationError("focal line outside a mass block")
-        m = _FOCAL_LINE.match(text)
-        if m is None:
-            raise ValidationError(f"malformed focal line: {text!r} (expected {{label ...}} weight)")
-        _, frame, assignments, _ = self.block
-        mask = frame._mask(m.group("labels").split())
-        assignments.append((mask, _number(m.group("weight"))))
-
-    def _frame(self, text: str) -> None:
+def _declared(text: str) -> tuple[str, str, tuple]:
+    """A declaration line's kind, name and syntax: a frame line's Frame, a scale's bounds, or `over`'s (ref, rest)."""
+    kind = text.split(None, 1)[0]
+    if kind == "frame":
         name, frame = parse_frame(text)
-        table = self._declare("frame", name)
-        self._claim("frame", name, frame)
-        table[name] = frame
-
-    def _scale(self, text: str) -> None:
+        return kind, name, (frame,)
+    if kind == "scale":
         m = _SCALE_LINE.match(text)
         if m is None:
             raise ValidationError(f"malformed scale declaration: {text!r} (expected scale <name>: <lo>..<hi>)")
-        name = m.group("name")
-        table = self._declare("scale", name)
-        scale = NumericScale(_integer(m.group("lo")), _integer(m.group("hi")))
-        self._claim("scale", name, scale.frame)
-        table[name] = scale
+        return kind, m.group("name"), m.group("lo", "hi")
+    if kind not in _KINDS:
+        raise ValidationError(f"unrecognized declaration: {text!r}")
+    m = _OVER_LINE.match(text)
+    if m is None:
+        raise ValidationError(f"malformed declaration: {text!r} (expected <kind> <name> over <frame>: ...)")
+    return kind, m.group("name"), m.group("ref", "rest")
 
-    def _over(self, text: str, line: int) -> None:
-        m = _OVER_LINE.match(text)
-        if m is None:
-            raise ValidationError(f"malformed declaration: {text!r} (expected <kind> <name> over <frame>: ...)")
-        kind, name, ref, rest = m.group("kind", "name", "ref", "rest")
-        table = self._declare(kind, name)  # duplicate check for every kind
-        if kind == "fuzzy":
-            scale = self.doc.scales.get(ref)
-            if scale is None:
-                raise ValidationError(f"unknown scale {ref!r}")
-            table[name] = self._fuzzy(scale, name, rest)
-            return
-        frame = self.doc.frame_named(ref)
-        if kind == "mass":
-            if rest:
-                raise ValidationError("mass declaration takes no inline values; focal lines follow")
-            # the entry lands in the table when the block closes; errors then name this header line
-            self.block = (name, frame, [], line)
-            return
-        if kind == "pi":
-            table[name] = PossibilityDistribution(frame, [_number(t) for t in rest.split()])
-        elif kind == "prob":
-            table[name] = ProbabilityDistribution(frame, [_number(t) for t in rest.split()])
-        else:
-            table[name] = self._statement(frame, rest)
 
-    def _fuzzy(self, scale: NumericScale, name: str, rest: str) -> FuzzySet:
+def _built(doc: Document, kind: str, name: str, syntax: tuple):
+    """The object a declaration declares; for a mass header, the frame its block's focal lines are over."""
+    if kind == "frame":
+        return syntax[0]
+    if kind == "scale":
+        return NumericScale(*map(_integer, syntax))
+    ref, rest = syntax
+    if kind == "fuzzy":
+        scale = doc.scales.get(ref)
+        if scale is None:
+            raise ValidationError(f"unknown scale {ref!r}")
         pairs = _BREAKPOINT.findall(rest)
-        leftover = _BREAKPOINT.sub("", rest).strip()
-        if not pairs or leftover:
+        if not pairs or _BREAKPOINT.sub("", rest).strip():
             raise ValidationError(f"malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got {rest!r}")
-        breakpoints = [(_integer(x), _number(mu)) for x, mu in pairs]
-        return FuzzySet.from_breakpoints(scale, breakpoints, name=name)
-
-    def _statement(self, frame: Frame, rest: str) -> VagueStatement:
+        return FuzzySet.from_breakpoints(scale, [(_integer(x), _number(mu)) for x, mu in pairs], name=name)
+    frame = doc.frame_named(ref)
+    if kind == "mass":
+        if rest:
+            raise ValidationError("mass declaration takes no inline values; focal lines follow")
+        return frame
+    if kind == "statement":
         m = _STATEMENT_REST.match(rest)
         if m is None:
             raise ValidationError(f"malformed statement: expected core {{label ...}} alpha <value>, got {rest!r}")
-        core = frame.subset(m.group("labels").split())
-        return VagueStatement(core, _number(m.group("alpha")))
+        return VagueStatement(frame.subset(m.group("labels").split()), _number(m.group("alpha")))
+    values = [_number(t) for t in rest.split()]
+    return PossibilityDistribution(frame, values) if kind == "pi" else ProbabilityDistribution(frame, values)
+
+
+def _closed(name: str, frame: Frame, pairs: list[tuple[int, float]], header: int) -> MassFunction:
+    """The mass a block declares, built when the block closes; its errors name the header line."""
+    if not pairs:
+        raise DocumentError(f"mass {name!r} declares no focal elements", header)
+    try:
+        return MassFunction._from_masks(frame, pairs)
+    except CredalError as exc:
+        raise DocumentError(str(exc), header) from exc
 
 
 def parse_document(text: str) -> Document:
     """Parse a whole document; errors carry the offending 1-based line number."""
-    parser = _Parser()
+    doc = Document()
+    tables = dict(zip(_KINDS, doc._values()))
+    owners: dict[Frame, str] = {}  # the declaration that owns each frame's atoms, e.g. "frame 'w'"
+    block = None  # the open mass block: (name, frame, (mask, weight) pairs, header line)
     for line, raw in enumerate(text.splitlines(), start=1):
+        content = raw.strip()
+        if not content or content.startswith("#"):
+            continue
         try:
-            parser.feed(raw, line)
+            if content.startswith("{"):
+                if block is None:
+                    raise ValidationError("focal line outside a mass block")
+                m = _FOCAL_LINE.match(content)
+                if m is None:
+                    raise ValidationError(f"malformed focal line: {content!r} (expected {{label ...}} weight)")
+                _, frame, pairs, _ = block
+                pairs.append((frame._mask(m.group("labels").split()), _number(m.group("weight"))))
+                continue
+            if block is not None:
+                doc.masses[block[0]] = _closed(*block)
+                block = None
+            kind, name, syntax = _declared(content)
+            table = tables[kind]
+            if name in table:
+                raise ValidationError(f"duplicate {kind} name {name!r}")
+            obj = _built(doc, kind, name, syntax)
+            if kind == "mass":  # the mass enters its table when its block closes
+                block = (name, obj, [], line)
+                continue
+            if kind in ("frame", "scale"):  # its atoms are its own, so frame_name finds it
+                frame = obj if kind == "frame" else obj.frame
+                if frame in owners:
+                    raise ValidationError(f"{kind} {name!r} repeats the atoms of {owners[frame]}")
+                owners[frame] = f"{kind} {name!r}"
+            table[name] = obj
         except DocumentError:
             raise
         except CredalError as exc:
             raise DocumentError(str(exc), line) from exc
-    parser._close_block()
-    return parser.doc
+    if block is not None:
+        doc.masses[block[0]] = _closed(*block)
+    return doc

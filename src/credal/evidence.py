@@ -31,9 +31,19 @@ TABLE_MAX_ATOMS = 20
 _ZETA_BLOCK = 1 << 11
 
 
+def _real(value: float, what: str) -> float:
+    """`value` as a float: text, bytes and what `float` cannot read are not numbers, whatever they spell."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{what} is not a number: {value!r}")
+
+
 def _unit(value: float, what: str) -> None:
     """Reject a `value` that does not lie in [0, 1]; `nan` does not."""
-    if not 0.0 <= value <= 1.0:
+    if not 0.0 <= _real(value, what) <= 1.0:
         raise ValidationError(f"{what} {value!r} outside [0, 1]")
 
 
@@ -102,7 +112,7 @@ def _zeta(n: int, seeds: Mapping[int, float]) -> list[float]:
 
 def _grades(frame: Frame, values: Iterable[float], what: str) -> tuple[float, ...]:
     """Per-atom grades as floats: exactly one per atom of `frame`, each in [0, 1]."""
-    grades = tuple(float(v) for v in values)
+    grades = tuple(_real(v, f"{what} value") for v in values)
     if len(grades) != len(frame):
         raise ValidationError(f"expected {len(frame)} {what} values, got {len(grades)}")
     for v in grades:
@@ -149,13 +159,15 @@ class MassFunction(Record):
         for mask, weight in pairs:
             if mask == 0:
                 raise ValidationError("focal element is the contradiction (empty set)")
-            if not isfinite(weight):
+            # a float needs no conversion, and a document's 10^4 focal lines are all floats
+            number = weight if weight.__class__ is float else _real(weight, "focal weight")
+            if not isfinite(number):
                 raise ValidationError(f"non-finite focal weight {weight!r}")
-            if weight < 0.0:
+            if number < 0.0:
                 raise ValidationError(f"negative focal weight {weight!r}")
-            if weight == 0.0:
+            if number == 0.0:
                 continue
-            merged[mask] = merged.get(mask, 0.0) + weight
+            merged[mask] = merged.get(mask, 0.0) + number
         try:
             total = fsum(merged.values())
         except OverflowError:
@@ -391,7 +403,7 @@ def make_mass(frame: Frame, assignments: Iterable[tuple[Subset, float]]) -> Mass
     """Validating constructor mirroring user input: rejects non-positive weights."""
     checked = []
     for subset, weight in assignments:
-        if weight <= 0.0:
+        if _real(weight, "focal weight") <= 0.0:
             raise ValidationError(f"non-positive focal weight {weight!r}")
         checked.append((subset, weight))
     return MassFunction(frame, checked)

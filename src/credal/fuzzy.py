@@ -22,7 +22,7 @@ from math import fsum, isfinite
 
 from ._record import Record
 from .errors import ConditioningError, NormalizationError, ValidationError
-from .evidence import MassFunction, ProbabilityDistribution
+from .evidence import MassFunction, ProbabilityDistribution, _real
 from .frames import Frame, MAX_ATOMS, _check_same_frame, _index
 from .possibility import PossibilityDistribution
 
@@ -113,8 +113,8 @@ class FuzzySet(Record):
         if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
         try:
-            xs = [float(x) for x, _ in breakpoints]
-            ys = [float(y) for _, y in breakpoints]
+            xs = [_real(x, "breakpoint position") for x, _ in breakpoints]
+            ys = [_real(y, "breakpoint grade") for _, y in breakpoints]
             points = [float(p) for p in scale.points]
         except OverflowError:
             raise ValidationError("breakpoint or scale point too large for a float") from None

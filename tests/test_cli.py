@@ -395,6 +395,12 @@ class TestPlumbing:
                      "argument --alpha: not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
         pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "nan"],
                      "confidence nan outside [0, 1]", 1, id="nan-alpha"),
+        # a negative number in any spelling `float` reads is the option's value, not an option
+        *(pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", alpha],
+                       f"confidence {shown} outside [0, 1]", 1, id=f"alpha{alpha}")
+          for alpha, shown in [("-inf", "-inf"), ("-nan", "nan"), ("-1e-3", "-0.001"), ("-0.5", "-0.5")]),
+        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "-\u0661"],
+                     "argument --alpha: not a number: '-\u0661'", 2, id="alpha-arabic-indic-negative"),
     ]
 
     @pytest.mark.parametrize("doc,argv,message,status", BAD_INPUT)
@@ -416,8 +422,11 @@ class TestPlumbing:
         (["--doc", "samples/ages.txt", "elicit", "--method"], "argument --method: expected one argument"),
         (["--doc", "samples/missing.txt", "classify", "m"],
          "argument --doc: can't open 'samples/missing.txt': No such file or directory"),
-        (["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], "unrecognized arguments: --stat s1")],
-        ids=["bare", "query-without-arguments", "option-without-value", "doc-that-will-not-open", "abbreviated-option"])
+        (["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], "unrecognized arguments: --stat s1"),
+        (["--doc", "samples/statement10.txt", "elicit", "--frame", "w10", "--core", "{a b c}", "--alpha", "-x"],
+         "argument --alpha: expected one argument")],
+        ids=["bare", "query-without-arguments", "option-without-value", "doc-that-will-not-open", "abbreviated-option",
+             "option-for-a-value"])
     def test_usage_error_ends_in_its_error_line(self, repo_root, argv, error):
         result = credal(*argv)
         assert result.exit_code == 2

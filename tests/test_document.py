@@ -265,6 +265,22 @@ class TestErrors:
         msg = self.error("frame w: a b c\npi p over w: 1 0")
         assert msg == "line 2: expected 3 possibility values, got 2"
 
+    # a line with two faults reports the first that the parser checks: syntax (a frame line's labels included),
+    # then a duplicate name, then the object's construction; an open mass block closes before any of them
+    @pytest.mark.parametrize("text,message", [
+        ("frame w: a b\nframe w: c c", "line 2: duplicate label 'c'"),
+        ("scale s: 1..3\nscale s: 9..3", "line 2: duplicate scale name 's'"),
+        ("frame w: a b\npi p over w: 1 0\npi p over v: 1 0", "line 3: duplicate pi name 'p'"),
+        ("frame w: a b\nmass m over w:\n{a} 1.0\nmass m over w: 0.5", "line 4: duplicate mass name 'm'"),
+        ("frame w: a b\nmass m over w:\n{a} 0.5\nmass m over w:\n{a} 1.0",
+         "line 2: focal weights sum to 0.5, not 1 within 1e-06"),
+        ("scale s: 1..3\nfuzzy f over s: (1,1.0)\nfuzzy f over t: junk", "line 3: duplicate fuzzy name 'f'"),
+        ("frame w: a b\nmass m over v: 0.5", "line 2: unknown frame 'v'"),
+    ], ids=["frame-label-before-name", "scale-name-before-bounds", "pi-name-before-frame", "mass-name-before-values",
+            "open-block-before-name", "fuzzy-name-before-scale", "mass-frame-before-values"])
+    def test_first_fault_on_a_line_wins(self, text, message):
+        assert self.error(text) == message
+
     def test_line_numbers_count_comments_and_blanks(self):
         assert self.error("# one\n\n# three\npi p over v: 1 0") == "line 4: unknown frame 'v'"
 

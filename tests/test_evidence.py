@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -9,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 from credal import (
     Frame,
     FrameMismatchError,
+    FuzzySet,
     MassFunction,
+    NumericScale,
+    PossibilityDistribution,
     ProbabilityDistribution,
     TrianglePoint,
     TriangleRegion,
+    VagueStatement,
     ValidationError,
     contour,
     evidence,
@@ -74,6 +79,35 @@ class TestConstruction:
         m = MassFunction(w3, [(w3.singleton("w1"), 0.25), (w3.singleton("w1"), 0.25), (w3.full, 0.5)])
         assert len(m) == 2
         assert m.weight_of(w3.singleton("w1")) == pytest.approx(0.5, abs=TOL)
+
+    # the document refuses these spellings as `not a number`; the library refuses them the same way
+    @pytest.mark.parametrize("build,message", [
+        (lambda w: ProbabilityDistribution(w, ["0.2_5", 0.25, 0.5]), "probability value is not a number: '0.2_5'"),
+        (lambda w: ProbabilityDistribution(w, [b"0.25", 0.25, 0.5]), "probability value is not a number: b'0.25'"),
+        (lambda w: PossibilityDistribution(w, ["\u0661", 0, 0]), "possibility value is not a number: '\u0661'"),
+        (lambda w: FuzzySet.from_breakpoints(NumericScale(1, 3), [("1", "1.0")]),
+         "breakpoint position is not a number: '1'"),
+        (lambda w: make_mass(w, [(w.full, "1")]), "focal weight is not a number: '1'"),
+        (lambda w: MassFunction(w, [(w.full, bytearray(b"1"))]), "focal weight is not a number: bytearray(b'1')"),
+        (lambda w: VagueStatement(w.singleton("w1"), "0.5"), "confidence is not a number: '0.5'"),
+        (lambda w: TrianglePoint.locate("0.5", 0), "triangle coordinate is not a number: '0.5'"),
+        (lambda w: PossibilityDistribution(w, [1, 0.5, None]), "possibility value is not a number: None"),
+        (lambda w: PossibilityDistribution(w, "1  "), "possibility value is not a number: '1'"),
+    ], ids=["underscore", "bytes", "foreign-digit", "breakpoint-text", "make-mass-text", "bytearray-weight",
+            "alpha-text", "triangle-text", "none-grade", "text-of-grades"])
+    def test_text_is_not_a_number(self, w3, build, message):
+        with pytest.raises(ValidationError) as info:
+            build(w3)
+        assert str(info.value) == message
+
+    def test_numbers_of_any_numeric_type_build(self, w3):
+        values = [np.float32(0.5), np.int64(0), Fraction(1, 2)]
+        assert ProbabilityDistribution(w3, values).values == (0.5, 0.0, 0.5)
+        assert make_mass(w3, [(w3.full, Fraction(1))]) == MassFunction(w3, [(w3.full, np.float64(1.0))])
+        assert VagueStatement(w3.singleton("w1"), Fraction(1, 2)).alpha == 0.5
+        assert TrianglePoint.locate(np.float32(0.5), 0).region is TriangleRegion.POSSIBILISTIC_AXES
+        fuzzy = FuzzySet.from_breakpoints(NumericScale(1, 3), [(np.int64(1), Fraction(1)), (3, np.float32(0))])
+        assert fuzzy.values == (1.0, 0.5, 0.0)
 
     def test_vacuous(self, w3):
         m = MassFunction.vacuous(w3)
