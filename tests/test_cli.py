@@ -395,7 +395,7 @@ class TestPlumbing:
                      "argument --alpha: not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
         pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "nan"],
                      "confidence nan outside [0, 1]", 1, id="nan-alpha"),
-        # a negative number in any spelling `float` reads is the option's value, not an option
+        # an argument that starts like a negative number is the option's value, not an option
         *(pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", alpha],
                        f"confidence {shown} outside [0, 1]", 1, id=f"alpha{alpha}")
           for alpha, shown in [("-inf", "-inf"), ("-nan", "nan"), ("-1e-3", "-0.001"), ("-0.5", "-0.5")]),

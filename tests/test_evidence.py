@@ -80,7 +80,7 @@ class TestConstruction:
         assert len(m) == 2
         assert m.weight_of(w3.singleton("w1")) == pytest.approx(0.5, abs=TOL)
 
-    # the document refuses these spellings as `not a number`; the library refuses them the same way
+    # text is not a number, even where `float` reads it, nor is anything else `float` cannot read
     @pytest.mark.parametrize("build,message", [
         (lambda w: ProbabilityDistribution(w, ["0.2_5", 0.25, 0.5]), "probability value is not a number: '0.2_5'"),
         (lambda w: ProbabilityDistribution(w, [b"0.25", 0.25, 0.5]), "probability value is not a number: b'0.25'"),
