@@ -32,9 +32,8 @@ class VagueStatement(Record):
             raise ValidationError(
                 "statement core is the whole frame and carries no information"
             )
-        _unit(alpha, "confidence")
         object.__setattr__(self, "core", core)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _unit(alpha, "confidence"))
 
 
 def maxent_distribution(statement: VagueStatement) -> ProbabilityDistribution:

@@ -31,20 +31,29 @@ TABLE_MAX_ATOMS = 20
 _ZETA_BLOCK = 1 << 11
 
 
-def _real(value: float, what: str) -> float:
-    """`value` as a float: text, bytes and what `float` cannot read are not numbers, whatever they spell."""
+def _real(value: float, what: str, too_large: str = "") -> float:
+    """`value` as a float: text, bytes and what `float` cannot read are not numbers, whatever they spell.
+
+    An int past the float range raises `too_large`, by default naming `what`;
+    the message leaves the int out, as the `repr` of one past the interpreter's
+    digit cap would itself raise.
+    """
     if not isinstance(value, (str, bytes, bytearray)):
         try:
             return float(value)
+        except OverflowError:
+            raise ValidationError(too_large or f"{what} too large for a float") from None
         except (TypeError, ValueError):
             pass
     raise ValidationError(f"{what} is not a number: {value!r}")
 
 
-def _unit(value: float, what: str) -> None:
-    """Reject a `value` that does not lie in [0, 1]; `nan` does not."""
-    if not 0.0 <= _real(value, what) <= 1.0:
-        raise ValidationError(f"{what} {value!r} outside [0, 1]")
+def _unit(value: float, what: str) -> float:
+    """`value` as a float that lies in [0, 1]; `nan` does not."""
+    number = _real(value, what)
+    if not 0.0 <= number <= 1.0:
+        raise ValidationError(f"{what} {number!r} outside [0, 1]")
+    return number
 
 
 def _zeta(n: int, seeds: Mapping[int, float]) -> list[float]:
@@ -333,8 +342,7 @@ class TrianglePoint(Record):
 
     @staticmethod
     def locate(x: float, y: float) -> TrianglePoint:
-        _unit(x, "triangle coordinate")
-        _unit(y, "triangle coordinate")
+        x, y = _unit(x, "triangle coordinate"), _unit(y, "triangle coordinate")
         if x + y > 1.0 + EQ_TOLERANCE:
             raise ValidationError(f"point ({x}, {y}) lies outside the triangle (x + y > 1)")
 

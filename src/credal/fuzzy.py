@@ -112,12 +112,10 @@ class FuzzySet(Record):
         """
         if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
-        try:
-            xs = [_real(x, "breakpoint position") for x, _ in breakpoints]
-            ys = [_real(y, "breakpoint grade") for _, y in breakpoints]
-            points = [float(p) for p in scale.points]
-        except OverflowError:
-            raise ValidationError("breakpoint or scale point too large for a float") from None
+        too_large = "breakpoint or scale point too large for a float"
+        xs = [_real(x, "breakpoint position", too_large) for x, _ in breakpoints]
+        ys = [_real(y, "breakpoint grade", too_large) for _, y in breakpoints]
+        points = [_real(p, "scale point", too_large) for p in scale.points]
         for what, values in (("grade", ys), ("position", xs)):
             for v in values:
                 if not isfinite(v):

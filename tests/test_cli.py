@@ -319,16 +319,8 @@ class TestSimpleCommands:
         assert "unknown statement 'ghost'" in result.stderr
 
 
-def two_weights(a: str, b: str) -> bytes:
-    return f"frame w: a b\nmass m over w:\n  {{a}} {a}\n  {{b}} {b}\n".encode()
-
-
-def fuzzy_grade(grade: str) -> bytes:
-    return f"scale age: 1..3\nfuzzy y over age: (1,1.0) (2,{grade}) (3,0.0)\n".encode()
-
-
-# more digits than Python reads into an int, and far more than a float holds
-NINES = "9" * 5000
+# an inline statement, up to the value of its --alpha
+ALPHA = ["elicit", "--frame", "w", "--core", "{w1}", "--alpha"]
 
 
 class TestPlumbing:
@@ -344,62 +336,35 @@ class TestPlumbing:
         assert result.stdout == ""
         assert target.read_text() == "subset,weight\n{w1},0.300000\n{w1 w2},0.400000\n{w1 w2 w3},0.300000\n"
 
-    def test_doc_parse_error_is_one_line(self):
-        result = run("classify", "nested", doc="frame w: w1\nnonsense here", expect_exit=1)
-        assert result.stderr.startswith("Error: line 2:")
+    def test_out_dash_is_stdout(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("--out", "-", "cardinality", "nested").stdout == "expected cardinality = 1.7\n"
+        assert list(tmp_path.iterdir()) == []  # no file named `-`
+
+    # a name that starts with `-` is an option's value when `=` joins the two; apart, it reads as an option
+    def test_name_starting_with_a_dash(self):
+        doc = DOC + "prob -x over age: 0.2 0.2 0.2 0.2 0.2\nstatement -s over w: core {w1} alpha 0.5\n"
+        assert run("condition", "young", "--prior=-x", doc=doc).stdout.startswith("prob young_posterior over age: ")
+        out = run("elicit", "--statement=-s", "--method", "maxent", doc=doc).stdout
+        assert out == "prob -s_maxent over w: 0.5 0.25 0.25\n"
 
     # (document, argv after --doc -, start of the one stderr line); TMP is a fresh
     # directory that must stay empty: --out opens its file only on the first write
     BAD_INPUT = [
-        pytest.param(two_weights("nan", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight nan",
-                     1, id="nan-weight-query"),
-        pytest.param(two_weights("nan", "1.0"), ["classify", "m"], "line 2: non-finite focal weight nan",
-                     1, id="nan-weight-classify"),
-        pytest.param(two_weights("inf", "1.0"), ["query", "Bel", "m", "{a}"], "line 2: non-finite focal weight inf",
-                     1, id="inf-weight-query"),
-        pytest.param(two_weights("inf", "1.0"), ["classify", "m"], "line 2: non-finite focal weight inf",
-                     1, id="inf-weight-classify"),
-        pytest.param(two_weights("1e308", "1e308"), ["query", "Bel", "m", "{a}"], "line 2: focal weights sum to inf",
-                     1, id="overflowing-sum-query"),
-        pytest.param(two_weights("1e308", "1e308"), ["classify", "m"], "line 2: focal weights sum to inf",
-                     1, id="overflowing-sum-classify"),
-        pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'",
+        pytest.param(DOC, ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'",
                      1, id="unknown-name-with-out"),
-        pytest.param(fuzzy_grade("nan"), ["condition", "y"], "line 2: non-finite breakpoint grade nan",
-                     1, id="nan-grade"),
-        pytest.param(fuzzy_grade("inf"), ["condition", "y"], "line 2: non-finite breakpoint grade inf",
-                     1, id="inf-grade"),
-        pytest.param(fuzzy_grade("-inf"), ["condition", "y"], "line 2: non-finite breakpoint grade -inf",
-                     1, id="minus-inf-grade"),
-        pytest.param(two_weights("0.2_5", "0.75"), ["query", "Bel", "m", "{a}"], "line 3: not a number: '0.2_5'",
-                     1, id="underscore-weight"),
         pytest.param(b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode",
                      1, id="not-utf8"),
-        pytest.param(two_weights("0.5", "0.5"), ["--out", "TMP/missing/x", "classify", "m"],
+        pytest.param(DOC, ["--out", "TMP/missing/x", "classify", "nested"],
                      "Could not open file 'TMP/missing/x': No such file or directory", 1, id="out-in-missing-dir"),
-        pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n".encode(), ["condition", "y"],
-                     "line 2: breakpoint or scale point too large for a float", 1, id="400-digit-breakpoint"),
-        pytest.param(f"scale s: 1..{NINES}\n".encode(), ["classify", "m"],
-                     "line 1: integer of 5000 digits is too long", 1, id="5000-digit-scale-bound"),
-        pytest.param(f"scale s: 1..{NINES[:4300]}\n".encode(), ["classify", "m"],
-                     "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points\n",
-                     1, id="4300-digit-scale-bound"),
-        pytest.param(f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n".encode(),
-                     ["condition", "y"], "line 2: breakpoint or scale point too large for a float",
-                     1, id="400-digit-scale-points"),
-        pytest.param(f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n".encode(), ["condition", "y"],
-                     "line 2: integer of 5000 digits is too long", 1, id="5000-digit-breakpoint"),
-        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "0.8_0"],
-                     "argument --alpha: not a number: '0.8_0'", 2, id="underscore-alpha"),
-        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "\u0660.\u0668"],
+        pytest.param(DOC, [*ALPHA, "0.8_0"], "argument --alpha: not a number: '0.8_0'", 2, id="underscore-alpha"),
+        pytest.param(DOC, [*ALPHA, "\u0660.\u0668"],
                      "argument --alpha: not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
-        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "nan"],
-                     "confidence nan outside [0, 1]", 1, id="nan-alpha"),
+        pytest.param(DOC, [*ALPHA, "nan"], "confidence nan outside [0, 1]", 1, id="nan-alpha"),
         # an argument that starts like a negative number is the option's value, not an option
-        *(pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", alpha],
-                       f"confidence {shown} outside [0, 1]", 1, id=f"alpha{alpha}")
+        *(pytest.param(DOC, [*ALPHA, alpha], f"confidence {shown} outside [0, 1]", 1, id=f"alpha{alpha}")
           for alpha, shown in [("-inf", "-inf"), ("-nan", "nan"), ("-1e-3", "-0.001"), ("-0.5", "-0.5")]),
-        pytest.param(two_weights("0.5", "0.5"), ["elicit", "--frame", "w", "--core", "{a}", "--alpha", "-\u0661"],
+        pytest.param(DOC, [*ALPHA, "-\u0661"],
                      "argument --alpha: not a number: '-\u0661'", 2, id="alpha-arabic-indic-negative"),
     ]
 
@@ -424,9 +389,11 @@ class TestPlumbing:
          "argument --doc: can't open 'samples/missing.txt': No such file or directory"),
         (["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], "unrecognized arguments: --stat s1"),
         (["--doc", "samples/statement10.txt", "elicit", "--frame", "w10", "--core", "{a b c}", "--alpha", "-x"],
-         "argument --alpha: expected one argument")],
+         "argument --alpha: expected one argument"),
+        (["--doc", "samples/ages.txt", "condition", "young", "--prior", "-x"],
+         "argument --prior: expected one argument")],
         ids=["bare", "query-without-arguments", "option-without-value", "doc-that-will-not-open", "abbreviated-option",
-             "option-for-a-value"])
+             "option-for-a-value", "name-for-a-value"])
     def test_usage_error_ends_in_its_error_line(self, repo_root, argv, error):
         result = credal(*argv)
         assert result.exit_code == 2

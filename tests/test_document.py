@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_runner import credal
-from credal import DocumentError, Frame, MassFunction, parse_document
+from credal import DocumentError, Frame, MassFunction, ValidationError, parse_document
 
 FULL_DOC = textwrap.dedent("""\
     # a frame, ways of weighing it, and a scale with a vague predicate
@@ -93,47 +93,6 @@ class TestHappyPath:
         frame = doc.frames["w"]
         assert list(doc.masses["m"].focal_elements()) == [(frame.singleton("a"), 0.25), (frame.full, 0.75)]
 
-
-class TestErrors:
-    def error(self, text: str) -> str:
-        with pytest.raises(DocumentError) as info:
-            parse_document(text)
-        msg = str(info.value)
-        # the line is attached once: the message names it, and only once
-        assert msg.startswith(f"line {info.value.line}: ")
-        assert not re.match(r"line \d+: line ", msg)
-        return msg
-
-    def test_unrecognized_declaration(self):
-        msg = self.error("frame w: a b\nbogus w: 1 2")
-        assert msg == "line 2: unrecognized declaration: 'bogus w: 1 2'"
-
-    def test_unknown_frame(self):
-        assert self.error("pi p over v: 1 0") == "line 1: unknown frame 'v'"
-
-    def test_unknown_scale_for_fuzzy(self):
-        assert self.error("frame w: a b\nfuzzy f over w: (1,0.5)") == "line 2: unknown scale 'w'"
-
-    def test_duplicate_names_within_kind(self):
-        msg = self.error("frame w: a b\nframe w: c d")
-        assert msg == "line 2: duplicate frame name 'w'"
-
-    def test_duplicate_scale_name(self):
-        msg = self.error("frame w: a b\nscale s: 1..2\nscale s: 3..4")
-        assert msg == "line 3: duplicate scale name 's'"
-
-    def test_frame_repeating_a_frames_atoms(self):
-        msg = self.error("frame a: x y z\nframe b: x y z")
-        assert msg == "line 2: frame 'b' repeats the atoms of frame 'a'"
-
-    def test_frame_repeating_a_scales_points(self):
-        msg = self.error("scale s: 1..3\nframe f: 1 2 3")
-        assert msg == "line 2: frame 'f' repeats the atoms of scale 's'"
-
-    def test_scale_repeating_a_frames_atoms(self):
-        msg = self.error("frame w: 1 2 3\nscale s: 1..3")
-        assert msg == "line 2: scale 's' repeats the atoms of frame 'w'"
-
     def test_permuted_atoms_make_another_frame(self):
         doc = parse_document("frame a: x y z\nframe b: z y x\npi p over b: 1 0.5 0")
         assert doc.frame_name(doc.pis["p"].frame) == "b"
@@ -142,147 +101,126 @@ class TestErrors:
         doc = parse_document("frame x: a b\npi x over x: 1 0\nprob x over x: 1 0")
         assert "x" in doc.pis and "x" in doc.probs
 
-    def test_malformed_frame(self):
-        assert self.error("frame w") == "line 1: malformed frame declaration: 'frame w'"
-
-    def test_frame_without_labels(self):
-        assert self.error("frame w:") == "line 1: frame declaration lists no labels"
-
-    def test_malformed_over_declaration(self):
-        msg = self.error("frame w: a b\npi p over: 1 0")
-        assert msg == ("line 2: malformed declaration: 'pi p over: 1 0' "
-                       "(expected <kind> <name> over <frame>: ...)")
-
-    def test_focal_line_outside_block(self):
-        assert self.error("frame w: a b\n{a} 1.0") == "line 2: focal line outside a mass block"
-
-    def test_focal_after_block_closed(self):
-        text = "frame w: a b\nmass m over w:\n{a} 1.0\npi p over w: 1 0\n{b} 0.5"
-        assert self.error(text) == "line 5: focal line outside a mass block"
-
-    def test_empty_mass_block(self):
-        msg = self.error("frame w: a b\nmass m over w:\npi p over w: 1 0")
-        assert msg == "line 2: mass 'm' declares no focal elements"
-
-    def test_empty_mass_block_at_end(self):
-        assert self.error("frame w: a b\nmass m over w:\n# none") == "line 2: mass 'm' declares no focal elements"
-
-    def test_mass_weight_error_reports_header_line(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.4")
-        assert msg == "line 2: focal weights sum to 0.4, not 1 within 1e-06"
-
-    def test_malformed_focal(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} ")
-        assert msg == "line 3: malformed focal line: '{a}' (expected {label ...} weight)"
-
-    def test_unknown_label_in_focal(self):
-        assert self.error("frame w: a b\nmass m over w:\n{c} 1.0") == "line 3: unknown label 'c'"
-
-    def test_label_of_another_frame_in_focal(self):
-        msg = self.error("frame w: a b\nframe v: c d\nmass m over w:\n{a} 0.5\n{a c} 0.5")
-        assert msg == "line 5: unknown label 'c'"
-
-    def test_bad_focal_weight(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{b} half")
-        assert msg == "line 4: not a number: 'half'"
-
-    def test_empty_focal_reports_header_line(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{} 0.5")
-        assert msg == "line 2: focal element is the contradiction (empty set)"
-
-    def test_nan_weight_reports_header_line(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.5\n{b} nan")
-        assert msg == "line 2: non-finite focal weight nan"
-
-    def test_bad_number(self):
-        assert self.error("frame w: a b\npi p over w: 1 x") == "line 2: not a number: 'x'"
-
-    # `float` reads `_` digit separators and any script's digits; a document's numbers are ASCII decimals
-    def test_underscore_in_focal_weight(self):
-        msg = self.error("frame w: a b\nmass m over w:\n{a} 0.2_5\n{b} 0.75")
-        assert msg == "line 3: not a number: '0.2_5'"
-
-    def test_non_ascii_digit_in_pi_grade(self):
-        assert self.error("frame w: a b\npi p over w: \u0661 0") == "line 2: not a number: '\u0661'"
-
-    def test_fullwidth_digit_in_alpha(self):
-        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha \uff10.5")
-        assert msg == "line 2: not a number: '\uff10.5'"
-
-    def test_underscore_in_fuzzy_grade(self):
-        assert self.error("scale s: 1..5\nfuzzy f over s: (1,1_0)") == "line 2: not a number: '1_0'"
-
-    def test_non_ascii_digits_in_scale_bounds(self):
-        msg = self.error("scale s: \u0661..\u0663")
-        assert msg == ("line 1: malformed scale declaration: 'scale s: \u0661..\u0663' "
-                       "(expected scale <name>: <lo>..<hi>)")
-
-    def test_non_ascii_digit_in_breakpoint_position(self):
-        msg = self.error("scale s: 1..3\nfuzzy f over s: (\u0661,1.0)")
-        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(\u0661,1.0)'"
-
     def test_exponents_and_signed_zero_still_parse(self):
         doc = parse_document("frame w: a b\npi p over w: 1E0 -0.0\nprob q over w: 1e-0 .0")
         assert doc.pis["p"].values == (1.0, 0.0) and doc.probs["q"].values == (1.0, 0.0)
 
-    def test_mass_inline_values_rejected(self):
-        msg = self.error("frame w: a b\nmass m over w: 0.5 0.5")
-        assert msg == "line 2: mass declaration takes no inline values; focal lines follow"
 
-    def test_malformed_scale(self):
-        msg = self.error("scale s: 1-5")
-        assert msg == "line 1: malformed scale declaration: 'scale s: 1-5' (expected scale <name>: <lo>..<hi>)"
+# more digits than Python reads into an int, and far more than a float holds
+NINES = "9" * 5000
 
-    def test_scale_bounds_order(self):
-        assert self.error("scale s: 9..3") == "line 1: scale bounds out of order: 9..3"
-
-    def test_malformed_statement(self):
-        msg = self.error("frame w: a b\nstatement s over w: core {a} beta 0.5")
-        assert msg == ("line 2: malformed statement: expected core {label ...} alpha <value>, "
-                       "got 'core {a} beta 0.5'")
-
-    def test_statement_alpha_out_of_range(self):
-        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha 1.5")
-        assert msg == "line 2: confidence 1.5 outside [0, 1]"
-
-    def test_statement_alpha_not_a_number(self):
-        msg = self.error("frame w: a b\nstatement s over w: core {a} alpha high")
-        assert msg == "line 2: not a number: 'high'"
-
-    def test_malformed_fuzzy(self):
-        msg = self.error("scale s: 1..5\nfuzzy f over s: 0.5 0.7")
-        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '0.5 0.7'"
-
-    def test_fuzzy_with_leftover_text(self):
-        msg = self.error("scale s: 1..5\nfuzzy f over s: (1,0.5) junk")
-        assert msg == "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(1,0.5) junk'"
-
-    def test_fuzzy_grade_not_a_number(self):
-        msg = self.error("scale s: 1..5\nfuzzy f over s: (1,high)")
-        assert msg == "line 2: not a number: 'high'"
-
-    def test_wrong_value_count(self):
-        msg = self.error("frame w: a b c\npi p over w: 1 0")
-        assert msg == "line 2: expected 3 possibility values, got 2"
-
+# Every document fault, once: (id, document, the whole message of its DocumentError, line prefix included)
+FAULTS = [
+    ("unrecognized-declaration", "frame w: a b\nbogus w: 1 2", "line 2: unrecognized declaration: 'bogus w: 1 2'"),
+    ("unknown-frame", "pi p over v: 1 0", "line 1: unknown frame 'v'"),
+    ("unknown-scale", "frame w: a b\nfuzzy f over w: (1,0.5)", "line 2: unknown scale 'w'"),
+    ("duplicate-frame-name", "frame w: a b\nframe w: c d", "line 2: duplicate frame name 'w'"),
+    ("duplicate-scale-name", "frame w: a b\nscale s: 1..2\nscale s: 3..4", "line 3: duplicate scale name 's'"),
+    ("frame-repeats-frame", "frame a: x y z\nframe b: x y z", "line 2: frame 'b' repeats the atoms of frame 'a'"),
+    ("frame-repeats-scale", "scale s: 1..3\nframe f: 1 2 3", "line 2: frame 'f' repeats the atoms of scale 's'"),
+    ("scale-repeats-frame", "frame w: 1 2 3\nscale s: 1..3", "line 2: scale 's' repeats the atoms of frame 'w'"),
+    ("malformed-frame", "frame w", "line 1: malformed frame declaration: 'frame w'"),
+    ("frame-without-labels", "frame w:", "line 1: frame declaration lists no labels"),
+    ("malformed-over", "frame w: a b\npi p over: 1 0",
+     "line 2: malformed declaration: 'pi p over: 1 0' (expected <kind> <name> over <frame>: ...)"),
+    ("focal-outside-block", "frame w: a b\n{a} 1.0", "line 2: focal line outside a mass block"),
+    ("focal-after-block", "frame w: a b\nmass m over w:\n{a} 1.0\npi p over w: 1 0\n{b} 0.5",
+     "line 5: focal line outside a mass block"),
+    ("empty-block", "frame w: a b\nmass m over w:\npi p over w: 1 0", "line 2: mass 'm' declares no focal elements"),
+    ("empty-block-at-end", "frame w: a b\nmass m over w:\n# none", "line 2: mass 'm' declares no focal elements"),
+    ("weight-sum", "frame w: a b\nmass m over w:\n{a} 0.4", "line 2: focal weights sum to 0.4, not 1 within 1e-06"),
+    ("malformed-focal", "frame w: a b\nmass m over w:\n{a} ",
+     "line 3: malformed focal line: '{a}' (expected {label ...} weight)"),
+    ("unknown-label", "frame w: a b\nmass m over w:\n{c} 1.0", "line 3: unknown label 'c'"),
+    ("foreign-label", "frame w: a b\nframe v: c d\nmass m over w:\n{a} 0.5\n{a c} 0.5", "line 5: unknown label 'c'"),
+    ("bad-focal-weight", "frame w: a b\nmass m over w:\n{a} 0.5\n{b} half", "line 4: not a number: 'half'"),
+    ("empty-focal", "frame w: a b\nmass m over w:\n{a} 0.5\n{} 0.5",
+     "line 2: focal element is the contradiction (empty set)"),
+    ("late-nan-weight", "frame w: a b\nmass m over w:\n{a} 0.5\n{b} nan", "line 2: non-finite focal weight nan"),
+    ("nan-weight", "frame w: a b\nmass m over w:\n  {a} nan\n  {b} 1.0\n", "line 2: non-finite focal weight nan"),
+    ("inf-weight", "frame w: a b\nmass m over w:\n  {a} inf\n  {b} 1.0\n", "line 2: non-finite focal weight inf"),
+    ("overflowing-sum", "frame w: a b\nmass m over w:\n  {a} 1e308\n  {b} 1e308\n",
+     "line 2: focal weights sum to inf, not 1 within 1e-06"),
+    ("bad-number", "frame w: a b\npi p over w: 1 x", "line 2: not a number: 'x'"),
+    # `float` reads `_` digit separators and any script's digits; a document's numbers are ASCII decimals
+    ("underscore-weight", "frame w: a b\nmass m over w:\n{a} 0.2_5\n{b} 0.75", "line 3: not a number: '0.2_5'"),
+    ("foreign-pi-digit", "frame w: a b\npi p over w: \u0661 0", "line 2: not a number: '\u0661'"),
+    ("wide-alpha", "frame w: a b\nstatement s over w: core {a} alpha \uff10.5", "line 2: not a number: '\uff10.5'"),
+    ("underscore-grade", "scale s: 1..5\nfuzzy f over s: (1,1_0)", "line 2: not a number: '1_0'"),
+    ("foreign-scale-digits", "scale s: \u0661..\u0663",
+     "line 1: malformed scale declaration: 'scale s: \u0661..\u0663' (expected scale <name>: <lo>..<hi>)"),
+    ("foreign-position", "scale s: 1..3\nfuzzy f over s: (\u0661,1.0)",
+     "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(\u0661,1.0)'"),
+    ("inline-mass-values", "frame w: a b\nmass m over w: 0.5 0.5",
+     "line 2: mass declaration takes no inline values; focal lines follow"),
+    ("malformed-scale", "scale s: 1-5",
+     "line 1: malformed scale declaration: 'scale s: 1-5' (expected scale <name>: <lo>..<hi>)"),
+    ("scale-bounds-order", "scale s: 9..3", "line 1: scale bounds out of order: 9..3"),
+    ("malformed-statement", "frame w: a b\nstatement s over w: core {a} beta 0.5",
+     "line 2: malformed statement: expected core {label ...} alpha <value>, got 'core {a} beta 0.5'"),
+    ("alpha-range", "frame w: a b\nstatement s over w: core {a} alpha 1.5", "line 2: confidence 1.5 outside [0, 1]"),
+    ("alpha-text", "frame w: a b\nstatement s over w: core {a} alpha high", "line 2: not a number: 'high'"),
+    ("malformed-fuzzy", "scale s: 1..5\nfuzzy f over s: 0.5 0.7",
+     "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '0.5 0.7'"),
+    ("fuzzy-leftover", "scale s: 1..5\nfuzzy f over s: (1,0.5) junk",
+     "line 2: malformed fuzzy declaration: expected breakpoints (<x>,<mu>), got '(1,0.5) junk'"),
+    ("grade-text", "scale s: 1..5\nfuzzy f over s: (1,high)", "line 2: not a number: 'high'"),
+    ("nan-grade", "scale age: 1..3\nfuzzy y over age: (1,1.0) (2,nan) (3,0.0)\n",
+     "line 2: non-finite breakpoint grade nan"),
+    ("inf-grade", "scale age: 1..3\nfuzzy y over age: (1,1.0) (2,inf) (3,0.0)\n",
+     "line 2: non-finite breakpoint grade inf"),
+    ("minus-inf-grade", "scale age: 1..3\nfuzzy y over age: (1,1.0) (2,-inf) (3,0.0)\n",
+     "line 2: non-finite breakpoint grade -inf"),
+    ("wrong-value-count", "frame w: a b c\npi p over w: 1 0", "line 2: expected 3 possibility values, got 2"),
+    ("comments-count", "# one\n\n# three\npi p over v: 1 0", "line 4: unknown frame 'v'"),
+    # integers past the float range, and past the interpreter's digit cap
+    ("400-digit-breakpoint", f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES[:400]},0.0)\n",
+     "line 2: breakpoint or scale point too large for a float"),
+    ("400-digit-scale-points", f"scale age: {NINES[:399]}8..{NINES[:400]}\nfuzzy y over age: (1,1.0) (2,0.0)\n",
+     "line 2: breakpoint or scale point too large for a float"),
+    ("5000-digit-scale-bound", f"scale s: 1..{NINES}\n", "line 1: integer of 5000 digits is too long"),
+    ("4300-digit-scale-bound", f"scale s: 1..{NINES[:4300]}\n",
+     "line 1: scale 1..99999999...99999999 (4300 digits) has more than 64 points"),
+    ("5000-digit-breakpoint", f"scale age: 1..3\nfuzzy y over age: (1,1.0) ({NINES},0.0)\n",
+     "line 2: integer of 5000 digits is too long"),
     # a line with two faults reports the first that the parser checks: syntax (a frame line's labels included),
     # then a duplicate name, then the object's construction; an open mass block closes before any of them
-    @pytest.mark.parametrize("text,message", [
-        ("frame w: a b\nframe w: c c", "line 2: duplicate label 'c'"),
-        ("scale s: 1..3\nscale s: 9..3", "line 2: duplicate scale name 's'"),
-        ("frame w: a b\npi p over w: 1 0\npi p over v: 1 0", "line 3: duplicate pi name 'p'"),
-        ("frame w: a b\nmass m over w:\n{a} 1.0\nmass m over w: 0.5", "line 4: duplicate mass name 'm'"),
-        ("frame w: a b\nmass m over w:\n{a} 0.5\nmass m over w:\n{a} 1.0",
-         "line 2: focal weights sum to 0.5, not 1 within 1e-06"),
-        ("scale s: 1..3\nfuzzy f over s: (1,1.0)\nfuzzy f over t: junk", "line 3: duplicate fuzzy name 'f'"),
-        ("frame w: a b\nmass m over v: 0.5", "line 2: unknown frame 'v'"),
-    ], ids=["frame-label-before-name", "scale-name-before-bounds", "pi-name-before-frame", "mass-name-before-values",
-            "open-block-before-name", "fuzzy-name-before-scale", "mass-frame-before-values"])
-    def test_first_fault_on_a_line_wins(self, text, message):
-        assert self.error(text) == message
+    ("frame-label-before-name", "frame w: a b\nframe w: c c", "line 2: duplicate label 'c'"),
+    ("scale-name-before-bounds", "scale s: 1..3\nscale s: 9..3", "line 2: duplicate scale name 's'"),
+    ("pi-name-before-frame", "frame w: a b\npi p over w: 1 0\npi p over v: 1 0", "line 3: duplicate pi name 'p'"),
+    ("mass-name-before-values", "frame w: a b\nmass m over w:\n{a} 1.0\nmass m over w: 0.5",
+     "line 4: duplicate mass name 'm'"),
+    ("open-block-before-name", "frame w: a b\nmass m over w:\n{a} 0.5\nmass m over w:\n{a} 1.0",
+     "line 2: focal weights sum to 0.5, not 1 within 1e-06"),
+    ("fuzzy-name-before-scale", "scale s: 1..3\nfuzzy f over s: (1,1.0)\nfuzzy f over t: junk",
+     "line 3: duplicate fuzzy name 'f'"),
+    ("mass-frame-before-values", "frame w: a b\nmass m over v: 0.5", "line 2: unknown frame 'v'"),
+]
+FAULT_ROWS = [pytest.param(text, message, id=name) for name, text, message in FAULTS]
 
-    def test_line_numbers_count_comments_and_blanks(self):
-        assert self.error("# one\n\n# three\npi p over v: 1 0") == "line 4: unknown frame 'v'"
+
+@pytest.mark.parametrize("text,message", FAULT_ROWS)
+def test_parse_document_raises_the_fault(text, message):
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    fault = info.value
+    assert str(fault) == message
+    # the line is attached once: the message names it, and only once
+    assert message.startswith(f"line {fault.line}: ") and not re.match(r"line \d+: line ", message)
+    # the category beneath: what the object's checks raised, except a mass block with nothing to build
+    if message.endswith("declares no focal elements"):
+        assert fault.__cause__ is None
+    else:
+        assert type(fault.__cause__) is ValidationError
+
+
+@pytest.mark.parametrize("text,message", FAULT_ROWS)
+def test_cli_prints_the_fault(text, message):
+    # every command parses the whole document before it looks a name up, so one command line serves every row
+    result = credal("classify", "m", doc=text)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {message}\n"
+    assert len(result.stderr.encode()) < 200
 
 
 @st.composite

@@ -80,7 +80,8 @@ class TestConstruction:
         assert len(m) == 2
         assert m.weight_of(w3.singleton("w1")) == pytest.approx(0.5, abs=TOL)
 
-    # text is not a number, even where `float` reads it, nor is anything else `float` cannot read
+    # text is not a number, even where `float` reads it, nor is anything else `float` cannot read; an int past
+    # the float range is too large, and its message leaves out digits whose `repr` may itself raise
     @pytest.mark.parametrize("build,message", [
         (lambda w: ProbabilityDistribution(w, ["0.2_5", 0.25, 0.5]), "probability value is not a number: '0.2_5'"),
         (lambda w: ProbabilityDistribution(w, [b"0.25", 0.25, 0.5]), "probability value is not a number: b'0.25'"),
@@ -93,8 +94,15 @@ class TestConstruction:
         (lambda w: TrianglePoint.locate("0.5", 0), "triangle coordinate is not a number: '0.5'"),
         (lambda w: PossibilityDistribution(w, [1, 0.5, None]), "possibility value is not a number: None"),
         (lambda w: PossibilityDistribution(w, "1  "), "possibility value is not a number: '1'"),
+        (lambda w: ProbabilityDistribution(w, [10**400, 0, 0]), "probability value too large for a float"),
+        (lambda w: PossibilityDistribution(w, [10**5000, 0, 0]), "possibility value too large for a float"),
+        (lambda w: MassFunction(w, [(w.full, 10**400)]), "focal weight too large for a float"),
+        (lambda w: make_mass(w, [(w.full, 10**5000)]), "focal weight too large for a float"),
+        (lambda w: VagueStatement(w.singleton("w1"), 10**400), "confidence too large for a float"),
+        (lambda w: TrianglePoint.locate(10**5000, 0), "triangle coordinate too large for a float"),
     ], ids=["underscore", "bytes", "foreign-digit", "breakpoint-text", "make-mass-text", "bytearray-weight",
-            "alpha-text", "triangle-text", "none-grade", "text-of-grades"])
+            "alpha-text", "triangle-text", "none-grade", "text-of-grades", "400-digit-prob", "5000-digit-pi",
+            "400-digit-weight", "5000-digit-make-mass", "400-digit-alpha", "5000-digit-triangle"])
     def test_text_is_not_a_number(self, w3, build, message):
         with pytest.raises(ValidationError) as info:
             build(w3)
@@ -104,8 +112,10 @@ class TestConstruction:
         values = [np.float32(0.5), np.int64(0), Fraction(1, 2)]
         assert ProbabilityDistribution(w3, values).values == (0.5, 0.0, 0.5)
         assert make_mass(w3, [(w3.full, Fraction(1))]) == MassFunction(w3, [(w3.full, np.float64(1.0))])
-        assert VagueStatement(w3.singleton("w1"), Fraction(1, 2)).alpha == 0.5
-        assert TrianglePoint.locate(np.float32(0.5), 0).region is TriangleRegion.POSSIBILISTIC_AXES
+        alpha = VagueStatement(w3.singleton("w1"), Fraction(1, 2)).alpha
+        assert alpha == 0.5 and type(alpha) is float  # records store the floats they read
+        point = TrianglePoint.locate(np.float32(0.5), 0)
+        assert point.region is TriangleRegion.POSSIBILISTIC_AXES and type(point.x) is type(point.y) is float
         fuzzy = FuzzySet.from_breakpoints(NumericScale(1, 3), [(np.int64(1), Fraction(1)), (3, np.float32(0))])
         assert fuzzy.values == (1.0, 0.5, 0.0)
 
