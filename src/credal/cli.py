@@ -3,10 +3,11 @@
 All commands read the objects named on the command line from the document
 given with --doc, run one operation, and print a deterministic result:
 human-readable lines by default, CSV with --csv, to stdout or to --out.
-Numeric text output uses 6 significant digits; CSV cells use 6 fixed
-decimals for golden-file stability. Errors are one-line diagnostics with a
-nonzero exit status, never stack traces: exit status 1, or 2 after the
-usage for a command line the parser refuses.
+Numeric text output uses 6 significant digits, except that a declaring
+line uses `repr` digits wherever 6 digits would not read back; CSV cells
+use 6 fixed decimals for golden-file stability. Errors are one-line
+diagnostics with a nonzero exit status, never stack traces: exit status 1,
+or 2 after the usage for a command line the parser refuses.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ def _index(value: int, what: str) -> int:
 
 
 def _check_label(label: str) -> None:
+    if not isinstance(label, str):
+        raise ValidationError(f"label {label!r} is not a string")
     if not label:
         raise ValidationError("empty label")
     bad = sorted(set(label) & _FORBIDDEN_CHARS) + [c for c in label if c.isspace()]
@@ -86,11 +88,12 @@ class Frame(Record):
         """Bitmask of the named atoms (duplicates collapse), raising for labels outside the frame."""
         bits = self._bits
         mask = 0
+        label = labels  # what the error names if `labels` is not iterable at all
         try:
             for label in labels:
                 mask |= bits[label]
-        except KeyError as exc:
-            raise ValidationError(f"unknown label {exc.args[0]!r}") from None
+        except (KeyError, TypeError):  # TypeError: a label that cannot be hashed names no atom either
+            raise ValidationError(f"unknown label {label!r}") from None
         return mask
 
     def subset(self, labels: Iterable[str]) -> Subset:

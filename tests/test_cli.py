@@ -73,254 +73,165 @@ def test_recorded_sessions_replay_exactly(repo_root, monkeypatch, argv, stdout):
     assert result.stdout == stdout
 
 
-class TestQuery:
-    def test_belief_human(self):
-        assert run("query", "Bel", "nested", "{w1 w2}").stdout == "Bel = 0.8\n"
+# a name that starts with `-` is an option's value when `=` joins the two; apart, it reads as an option
+DASHED = DOC + "prob -x over age: 0.2 0.2 0.2 0.2 0.2\nstatement -s over w: core {w1} alpha 0.5\n"
+BIG = "frame big: {}\nstatement s over big: core {{a0 a5}} alpha 0.8\n".format(
+    " ".join(f"a{i}" for i in range(64)))
+RAMP_MASS = "mass ramp_mass over w:\n  {w1} 0.3\n  {w1 w2} 0.4\n  {w1 w2 w3} 0.3\n"
+POSTERIOR = ("prob young_posterior over age: 0.3333333333333333 0.3333333333333333 0.22222222222222224 "
+             "0.11111111111111112 0.0\n")
+BRACKET_CSV = "subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
+LIKELY_CHECK = "subsets checked: 8\nmax violation: 0\ntightest width: 0.1 at {w1 w2}\nbracket holds: yes\n"
+LIKELY_CHECK_CSV = BRACKET_CSV + "8,0.000000,0.100000,{w1 w2},true\n"
+BIG_CHECK = ("subsets checked: 18446744073709551616\nmax violation: 2.66454e-15\ntightest width: 0.2 at {a1}\n"
+             "bracket holds: yes\n")
+BIG_CHECK_CSV = BRACKET_CSV + "18446744073709551616,0.000000,0.200000,{a1},true\n"
+NESTED_TRIANGLE = "nested,0.500000,0.000000,possibilistic-axes,\n"
 
-    def test_plausibility_on_prob(self):
-        assert run("query", "Pl", "flat", "{w2 w3}").stdout == "Pl = 0.8\n"
-
-    def test_possibility(self):
-        assert run("query", "Pi", "ramp", "{w2 w3}").stdout == "Pi = 0.7\n"
-
-    def test_necessity(self):
-        assert run("query", "N", "ramp", "{w1}").stdout == "N = 0.3\n"
-
-    def test_csv(self):
-        out = run("--csv", "query", "N", "ramp", "{w1}").stdout
-        assert out == "measure,object,subset,value\nN,ramp,{w1},0.300000\n"
-
-    def test_unknown_object(self):
-        result = run("query", "Bel", "ghost", "{w1}", expect_exit=1)
-        assert "unknown mass or prob 'ghost'" in result.stderr
-
-    def test_name_of_both_a_mass_and_a_prob(self):
-        doc = "frame w: a b\nmass x over w:\n  {a} 1\nprob x over w: 0.5 0.5\n"
-        result = run("query", "Bel", "x", "{a}", doc=doc, expect_exit=1)
-        assert result.stderr == "Error: 'x' names both a mass and a prob; rename one of them\n"
-
-    def test_pi_measure_needs_pi_object(self):
-        result = run("query", "Pi", "nested", "{w1}", expect_exit=1)
-        assert "unknown pi 'nested'" in result.stderr
-
-    def test_bad_subset_literal(self):
-        result = run("query", "Bel", "nested", "{w9}", expect_exit=1)
-        assert "unknown" in result.stderr
-
-    def test_bad_measure_is_usage_error(self):
-        run("query", "Q", "nested", "{w1}", expect_exit=2)
-
-
-class TestConvert:
-    def test_pi_to_mass(self):
-        out = run("convert", "ramp").stdout
-        assert out == (
-            "mass ramp_mass over w:\n"
-            "  {w1} 0.3\n"
-            "  {w1 w2} 0.4\n"
-            "  {w1 w2 w3} 0.3\n"
-        )
-
-    def test_mass_to_pi(self):
-        out = run("convert", "nested").stdout
-        assert out == "pi nested_pi over w: 1 0.5 0.2\n"
-
-    def test_round_trip_through_rendered_document(self):
-        # feed the rendered mass block back in as a document and convert again
-        block = run("convert", "ramp").stdout
-        doc2 = "frame w: w1 w2 w3\n" + block
-        out = run("convert", "ramp_mass", doc=doc2).stdout
-        assert out == "pi ramp_mass_pi over w: 1 0.7 0.3\n"
-
-    def test_dissonant_mass_refused(self):
-        result = run("convert", "torn", expect_exit=1)
-        assert "not consonant" in result.stderr
-        assert "approx" in result.stderr
-
-    def test_csv_pi_to_mass(self):
-        out = run("--csv", "convert", "ramp").stdout
-        assert out.splitlines()[0] == "subset,weight"
-        assert "{w1 w2},0.400000" in out
-
-    def test_csv_mass_to_pi(self):
-        out = run("--csv", "convert", "nested").stdout
-        assert out == "atom,value\nw1,1.000000\nw2,0.500000\nw3,0.200000\n"
-
-    def test_name_of_both_a_pi_and_a_mass(self):
-        doc = "frame w: a b\nmass x over w:\n  {a} 1\npi x over w: 1 0.5\n"
-        result = run("convert", "x", doc=doc, expect_exit=1)
-        assert result.stderr == "Error: 'x' names both a pi and a mass; rename one of them\n"
-
-    def test_unknown_name(self):
-        result = run("convert", "ghost", expect_exit=1)
-        assert "unknown pi or mass 'ghost'" in result.stderr
-
-
-class TestApprox:
-    def test_consistent_mass(self):
-        out = run("approx", "nested").stdout
-        assert out == "pi nested_approx over w: 1 0.5 0.2\n# consistent: true\n"
-
-    def test_conflicting_mass_reports_subnormalization(self):
-        doc = "frame w: w1 w2\nmass split over w:\n  {w1} 0.5\n  {w2} 0.5\n"
-        out = run("approx", "split", doc=doc).stdout
-        assert out == "pi split_approx over w: 1 1\n# consistent: false (subnormalization 0.5)\n"
-
-    def test_csv(self):
-        out = run("--csv", "approx", "nested").stdout
-        lines = out.splitlines()
-        assert lines[0] == "atom,pi,consistent,subnormalization"
-        assert lines[1] == "w1,1.000000,true,1.000000"
-
-    def test_probs_are_not_masses_here(self):
-        result = run("approx", "flat", expect_exit=1)
-        assert "unknown mass 'flat'" in result.stderr
+# Each pinned command output, once: (id, document or None for no `--doc -`, argv, the whole stdout); every row
+# runs from the repository root
+OUTPUTS = [
+    ("query-bel", DOC, ["query", "Bel", "nested", "{w1 w2}"], "Bel = 0.8\n"),
+    ("query-pl-of-prob", DOC, ["query", "Pl", "flat", "{w2 w3}"], "Pl = 0.8\n"),
+    ("query-pi", DOC, ["query", "Pi", "ramp", "{w2 w3}"], "Pi = 0.7\n"),
+    ("query-n", DOC, ["query", "N", "ramp", "{w1}"], "N = 0.3\n"),
+    ("query-csv", DOC, ["--csv", "query", "N", "ramp", "{w1}"], "measure,object,subset,value\nN,ramp,{w1},0.300000\n"),
+    ("convert-pi-to-mass", DOC, ["convert", "ramp"], RAMP_MASS),
+    ("convert-mass-to-pi", DOC, ["convert", "nested"], "pi nested_pi over w: 1 0.5 0.2\n"),
+    # the block written by `convert ramp`, read back in and converted again
+    ("convert-written-block", "frame w: w1 w2 w3\n" + RAMP_MASS, ["convert", "ramp_mass"],
+     "pi ramp_mass_pi over w: 1 0.7 0.3\n"),
+    ("convert-csv-pi-to-mass", DOC, ["--csv", "convert", "ramp"],
+     "subset,weight\n{w1},0.300000\n{w1 w2},0.400000\n{w1 w2 w3},0.300000\n"),
+    ("convert-csv-mass-to-pi", DOC, ["--csv", "convert", "nested"],
+     "atom,value\nw1,1.000000\nw2,0.500000\nw3,0.200000\n"),
+    ("approx-consistent", DOC, ["approx", "nested"], "pi nested_approx over w: 1 0.5 0.2\n# consistent: true\n"),
+    ("approx-subnormal", "frame w: w1 w2\nmass split over w:\n  {w1} 0.5\n  {w2} 0.5\n", ["approx", "split"],
+     "pi split_approx over w: 1 1\n# consistent: false (subnormalization 0.5)\n"),
+    ("approx-csv", DOC, ["--csv", "approx", "nested"],
+     "atom,pi,consistent,subnormalization\n"
+     "w1,1.000000,true,1.000000\nw2,0.500000,true,1.000000\nw3,0.200000,true,1.000000\n"),
+    ("condition-possibilistic", DOC, ["condition", "young"],
+     "pi young_pi over age: 1 1 0.666667 0.333333 0\n# certainty: 0 0 0 0 0\n"),
+    ("condition-prior", DOC, ["condition", "young", "--prior", "ages"], POSTERIOR),
+    ("condition-csv", DOC, ["--csv", "condition", "young"],
+     "point,pi,certainty\n20,1.000000,0.000000\n21,1.000000,0.000000\n22,0.666667,0.000000\n"
+     "23,0.333333,0.000000\n24,0.000000,0.000000\n"),
+    ("condition-dashed-prior", DASHED, ["condition", "young", "--prior=-x"], POSTERIOR),
+    ("elicit-both", DOC, ["elicit", "--statement", "likely"],
+     "prob likely_maxent over w: 0.45 0.45 0.1\n"
+     "mass likely_minspec over w:\n  {w1 w2} 0.9\n  {w1 w2 w3} 0.1\n"
+     "pi likely_minspec_pi over w: 1 1 0.1\n"),
+    ("elicit-inline", DOC, ["elicit", "--frame", "w", "--core", "{w3}", "--alpha", "1.0", "--method", "maxent"],
+     "prob elicited_maxent over w: 0 0 1\n"),
+    ("elicit-dashed-statement", DASHED, ["elicit", "--statement=-s", "--method", "maxent"],
+     "prob -s_maxent over w: 0.5 0.25 0.25\n"),
+    ("elicit-check", DOC, ["elicit", "--statement", "likely", "--method", "check"], LIKELY_CHECK),
+    ("elicit-csv-check", DOC, ["--csv", "elicit", "--statement", "likely", "--method", "check"], LIKELY_CHECK_CSV),
+    ("elicit-csv-both", DOC, ["--csv", "elicit", "--statement", "likely"],
+     "part,key,value\np,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
+     "focal,{w1 w2},0.900000\nfocal,{w1 w2 w3},0.100000\n"
+     "pi,w1,1.000000\npi,w2,1.000000\npi,w3,0.100000\n"),
+    ("elicit-csv-maxent", DOC, ["--csv", "elicit", "--statement", "likely", "--method", "maxent"],
+     "part,key,value\np,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"),
+    ("elicit-check-64-atoms", BIG, ["elicit", "--statement", "s", "--method", "check"], BIG_CHECK),
+    ("elicit-csv-check-64-atoms", BIG, ["--csv", "elicit", "--statement", "s", "--method", "check"], BIG_CHECK_CSV),
+    ("triangle", DOC, ["triangle", "nested", "{w1}"], NESTED_TRIANGLE),
+    ("triangle-csv", DOC, ["--csv", "triangle", "nested", "{w1}"], NESTED_TRIANGLE),
+    ("triangle-prob", DOC, ["triangle", "flat", "{w1}"], "flat,0.200000,0.800000,probabilistic-edge,\n"),
+    ("cardinality", DOC, ["cardinality", "nested"], "expected cardinality = 1.7\n"),
+    ("cardinality-csv", DOC, ["--csv", "cardinality", "nested"], "mass,expected_cardinality\nnested,1.700000\n"),
+    ("cardinality-doc-file", None, ["--doc", "samples/horse_race.txt", "cardinality", "horse_leaky"],
+     "expected cardinality = 2.2\n"),
+    ("classify", DOC, ["classify", "nested"], "classification = consonant (labels: consonant)\n"),
+    ("classify-csv", DOC, ["--csv", "classify", "torn"], "mass,tag,labels\ntorn,general,general\n"),
+    ("check", DOC, ["check", "likely"], LIKELY_CHECK),
+    ("check-csv", DOC, ["--csv", "check", "likely"], LIKELY_CHECK_CSV),
+    ("check-64-atoms", BIG, ["check", "s"], BIG_CHECK),
+    ("check-csv-64-atoms", BIG, ["--csv", "check", "s"], BIG_CHECK_CSV),
+    # a bracket check over 2^18 subsets, which needs no numpy either
+    ("check-18-atoms", "frame w: {}\nstatement s over w: core {{a0 a1 a2}} alpha 0.8\n".format(
+        " ".join(f"a{i}" for i in range(18))), ["check", "s"],
+     "subsets checked: 262144\nmax violation: 3.33067e-16\ntightest width: 0.2 at {a0 a1 a2}\nbracket holds: yes\n"),
+]
 
 
-class TestCondition:
-    def test_possibilistic(self):
-        out = run("condition", "young").stdout
-        lines = out.splitlines()
-        assert lines[0].startswith("pi young_pi over age: 1 1 ")
-        assert lines[1].startswith("# certainty: 0 0 ")
-
-    def test_bayesian_with_prior(self):
-        out = run("condition", "young", "--prior", "ages").stdout
-        assert out.startswith("prob young_posterior over age: ")
-
-    def test_csv_possibilistic(self):
-        out = run("--csv", "condition", "young").stdout
-        assert out.splitlines()[0] == "point,pi,certainty"
-
-    def test_unknown_prior(self):
-        result = run("condition", "young", "--prior", "ghost", expect_exit=1)
-        assert "unknown prob 'ghost'" in result.stderr
-
-    def test_unknown_fuzzy(self):
-        result = run("condition", "old", expect_exit=1)
-        assert "unknown fuzzy set 'old'" in result.stderr
-
-
-class TestElicit:
-    def test_statement_both(self):
-        out = run("elicit", "--statement", "likely").stdout
-        assert out == (
-            "prob likely_maxent over w: 0.45 0.45 0.1\n"
-            "mass likely_minspec over w:\n"
-            "  {w1 w2} 0.9\n"
-            "  {w1 w2 w3} 0.1\n"
-            "pi likely_minspec_pi over w: 1 1 0.1\n"
-        )
-
-    def test_inline_statement(self):
-        out = run("elicit", "--frame", "w", "--core", "{w3}", "--alpha", "1.0",
-                  "--method", "maxent").stdout
-        assert out == "prob elicited_maxent over w: 0 0 1\n"
-
-    def test_check_method(self):
-        out = run("elicit", "--statement", "likely", "--method", "check").stdout
-        assert "subsets checked: 8" in out
-        assert "bracket holds: yes" in out
-
-    def test_csv_check_method(self):
-        out = run("--csv", "elicit", "--statement", "likely", "--method", "check").stdout
-        assert out == ("subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
-                       "8,0.000000,0.100000,{w1 w2},true\n")
-
-    def test_statement_excludes_inline(self):
-        result = run("elicit", "--statement", "likely", "--alpha", "0.5", expect_exit=2)
-        assert "excludes" in result.stderr
-
-    def test_inline_requires_all_three(self):
-        result = run("elicit", "--frame", "w", "--core", "{w1}", expect_exit=2)
-        assert "all of" in result.stderr
-
-    def test_unknown_statement(self):
-        result = run("elicit", "--statement", "ghost", expect_exit=1)
-        assert "unknown statement 'ghost'" in result.stderr
-
-    def test_csv_parts(self):
-        out = run("--csv", "elicit", "--statement", "likely").stdout
-        assert out == (
-            "part,key,value\n"
-            "p,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
-            "focal,{w1 w2},0.900000\nfocal,{w1 w2 w3},0.100000\n"
-            "pi,w1,1.000000\npi,w2,1.000000\npi,w3,0.100000\n"
-        )
-
-    def test_csv_maxent(self):
-        out = run("--csv", "elicit", "--statement", "likely", "--method", "maxent").stdout
-        assert out == "part,key,value\np,w1,0.450000\np,w2,0.450000\np,w3,0.100000\n"
-
-
-class TestTriangle:
-    def test_always_csv_row(self):
-        assert run("triangle", "nested", "{w1}").stdout == "nested,0.500000,0.000000,possibilistic-axes,\n"
-
-    def test_csv_flag_prints_the_same_row(self):
-        assert run("--csv", "triangle", "nested", "{w1}").stdout == "nested,0.500000,0.000000,possibilistic-axes,\n"
-
-    def test_prob_object(self):
-        assert run("triangle", "flat", "{w1}").stdout == "flat,0.200000,0.800000,probabilistic-edge,\n"
-
-    def test_trivial_subset_rejected(self):
-        result = run("triangle", "nested", "{}", expect_exit=1)
-        assert "contingent" in result.stderr
-
-
-class TestSimpleCommands:
-    def test_cardinality(self):
-        assert run("cardinality", "nested").stdout == "expected cardinality = 1.7\n"
-
-    def test_cardinality_csv(self):
-        assert run("--csv", "cardinality", "nested").stdout == (
-            "mass,expected_cardinality\nnested,1.700000\n")
-
-    def test_classify(self):
-        assert run("classify", "nested").stdout == "classification = consonant (labels: consonant)\n"
-
-    def test_classify_csv(self):
-        assert run("--csv", "classify", "torn").stdout == "mass,tag,labels\ntorn,general,general\n"
-
-    def test_check(self):
-        out = run("check", "likely").stdout
-        assert out.splitlines()[-1] == "bracket holds: yes"
-
-    def test_check_csv(self):
-        out = run("--csv", "check", "likely").stdout
-        lines = out.splitlines()
-        assert lines[0] == "subsets_checked,max_violation,tightest_width,tightest_subset,holds"
-        assert lines[1].startswith("8,0.000000,0.100000,{w1 w2},true")
-
-    BIG = "frame big: {}\nstatement s over big: core {{a0 a5}} alpha 0.8\n".format(
-        " ".join(f"a{i}" for i in range(64)))
-
-    @pytest.mark.parametrize("argv", [["check", "s"], ["elicit", "--statement", "s", "--method", "check"]])
-    def test_check_covers_64_atoms(self, argv):
-        assert run(*argv, doc=self.BIG).stdout == (
-            "subsets checked: 18446744073709551616\n"
-            "max violation: 2.66454e-15\n"
-            "tightest width: 0.2 at {a1}\n"
-            "bracket holds: yes\n")
-        assert run("--csv", *argv, doc=self.BIG).stdout == (
-            "subsets_checked,max_violation,tightest_width,tightest_subset,holds\n"
-            "18446744073709551616,0.000000,0.200000,{a1},true\n")
-
-    def test_large_bracket_check_needs_no_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # every `import numpy` fails
-        atoms = " ".join(f"a{i}" for i in range(18))
-        doc = f"frame w: {atoms}\nstatement s over w: core {{a0 a1 a2}} alpha 0.8\n"
-        assert run("check", "s", doc=doc).stdout.splitlines() == [
-            "subsets checked: 262144", "max violation: 3.33067e-16", "tightest width: 0.2 at {a0 a1 a2}",
-            "bracket holds: yes"]
-
-    def test_check_unknown(self):
-        result = run("check", "ghost", expect_exit=1)
-        assert "unknown statement 'ghost'" in result.stderr
+@pytest.mark.parametrize("doc,argv,stdout", [pytest.param(*row, id=name) for name, *row in OUTPUTS])
+def test_output(repo_root, monkeypatch, doc, argv, stdout):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # every `import numpy` fails, as in the session replay
+    result = credal(*argv, doc=doc)
+    assert result.exit_code == 0
+    assert result.stdout == stdout
 
 
 # an inline statement, up to the value of its --alpha
 ALPHA = ["elicit", "--frame", "w", "--core", "{w1}", "--alpha"]
+
+# Each pinned refusal, once: (id, document or None for no `--doc -`, argv, exit status, the last stderr
+# line after `Error: `); exit 1 prints that line alone, exit 2 the usage first. TMP is a fresh directory that
+# stays empty: --out opens its file only on the first write
+ERRORS = [
+    ("query-unknown-object", DOC, ["query", "Bel", "ghost", "{w1}"], 1, "unknown mass or prob 'ghost'"),
+    ("query-mass-and-prob", "frame w: a b\nmass x over w:\n  {a} 1\nprob x over w: 0.5 0.5\n",
+     ["query", "Bel", "x", "{a}"], 1, "'x' names both a mass and a prob; rename one of them"),
+    ("query-pi-of-mass", DOC, ["query", "Pi", "nested", "{w1}"], 1, "unknown pi 'nested'"),
+    ("query-unknown-label", DOC, ["query", "Bel", "nested", "{w9}"], 1, "unknown label 'w9'"),
+    ("query-bad-measure", DOC, ["query", "Q", "nested", "{w1}"], 2,
+     "argument measure: invalid choice: 'Q' (choose from 'Bel', 'Pl', 'Pi', 'N')"),
+    ("convert-dissonant", DOC, ["convert", "torn"], 1,
+     "mass 'torn' is not consonant; use approx for dissonant evidence"),
+    ("convert-pi-and-mass", "frame w: a b\nmass x over w:\n  {a} 1\npi x over w: 1 0.5\n", ["convert", "x"], 1,
+     "'x' names both a pi and a mass; rename one of them"),
+    ("convert-unknown", DOC, ["convert", "ghost"], 1, "unknown pi or mass 'ghost'"),
+    ("approx-of-prob", DOC, ["approx", "flat"], 1, "unknown mass 'flat'"),
+    ("condition-unknown-prior", DOC, ["condition", "young", "--prior", "ghost"], 1, "unknown prob 'ghost'"),
+    ("condition-unknown-fuzzy", DOC, ["condition", "old"], 1, "unknown fuzzy set 'old'"),
+    ("elicit-statement-and-inline", DOC, ["elicit", "--statement", "likely", "--alpha", "0.5"], 2,
+     "--statement excludes --frame/--core/--alpha"),
+    ("elicit-inline-incomplete", DOC, ["elicit", "--frame", "w", "--core", "{w1}"], 2,
+     "give either --statement or all of --frame, --core, --alpha"),
+    ("elicit-unknown-statement", DOC, ["elicit", "--statement", "ghost"], 1, "unknown statement 'ghost'"),
+    ("triangle-empty-subset", DOC, ["triangle", "nested", "{}"], 1,
+     "triangle point requires a contingent proposition (not empty, not full)"),
+    ("check-unknown", DOC, ["check", "ghost"], 1, "unknown statement 'ghost'"),
+    ("unknown-name-with-out", DOC, ["--out", "TMP/x", "classify", "ghost"], 1, "unknown mass 'ghost'"),
+    ("not-utf8", b"\xff\xfe\x00bad", ["classify", "m"], 1,
+     "cannot read <stdin>: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("out-in-missing-dir", DOC, ["--out", "TMP/missing/x", "classify", "nested"], 1,
+     "Could not open file 'TMP/missing/x': No such file or directory"),
+    ("underscore-alpha", DOC, [*ALPHA, "0.8_0"], 2, "argument --alpha: not a number: '0.8_0'"),
+    ("arabic-indic-alpha", DOC, [*ALPHA, "\u0660.\u0668"], 2, "argument --alpha: not a number: '\u0660.\u0668'"),
+    ("nan-alpha", DOC, [*ALPHA, "nan"], 1, "confidence nan outside [0, 1]"),
+    # an argument that starts like a negative number is the option's value, not an option
+    *((f"alpha{alpha}", DOC, [*ALPHA, alpha], 1, f"confidence {shown} outside [0, 1]")
+      for alpha, shown in [("-inf", "-inf"), ("-nan", "nan"), ("-1e-3", "-0.001"), ("-0.5", "-0.5")]),
+    ("alpha-arabic-indic-negative", DOC, [*ALPHA, "-\u0661"], 2, "argument --alpha: not a number: '-\u0661'"),
+    ("missing-doc", None, ["classify", "nested"], 2, "the following arguments are required: --doc"),
+    ("bare", None, [], 2, "the following arguments are required: --doc, COMMAND"),
+    ("query-without-arguments", None, ["--doc", "samples/ages.txt", "query"], 2,
+     "the following arguments are required: measure, name, subset"),
+    ("option-without-value", None, ["--doc", "samples/ages.txt", "elicit", "--method"], 2,
+     "argument --method: expected one argument"),
+    ("doc-that-will-not-open", None, ["--doc", "samples/missing.txt", "classify", "m"], 2,
+     "argument --doc: can't open 'samples/missing.txt': No such file or directory"),
+    ("abbreviated-option", None, ["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], 2,
+     "unrecognized arguments: --stat s1"),
+    ("option-for-a-value", None,
+     ["--doc", "samples/statement10.txt", "elicit", "--frame", "w10", "--core", "{a b c}", "--alpha", "-x"], 2,
+     "argument --alpha: expected one argument"),
+    ("name-for-a-value", None, ["--doc", "samples/ages.txt", "condition", "young", "--prior", "-x"], 2,
+     "argument --prior: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("doc,argv,status,error", [pytest.param(*row, id=name) for name, *row in ERRORS])
+def test_error(repo_root, tmp_path, doc, argv, status, error):
+    result = credal(*(arg.replace("TMP", str(tmp_path)) for arg in argv), doc=doc)
+    assert result.exit_code == status
+    stderr = result.stderr.replace(str(tmp_path), "TMP")
+    assert stderr.splitlines()[-1] == "Error: " + error
+    assert len(stderr.encode()) < 200
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPlumbing:
@@ -340,69 +251,6 @@ class TestPlumbing:
         monkeypatch.chdir(tmp_path)
         assert run("--out", "-", "cardinality", "nested").stdout == "expected cardinality = 1.7\n"
         assert list(tmp_path.iterdir()) == []  # no file named `-`
-
-    # a name that starts with `-` is an option's value when `=` joins the two; apart, it reads as an option
-    def test_name_starting_with_a_dash(self):
-        doc = DOC + "prob -x over age: 0.2 0.2 0.2 0.2 0.2\nstatement -s over w: core {w1} alpha 0.5\n"
-        assert run("condition", "young", "--prior=-x", doc=doc).stdout.startswith("prob young_posterior over age: ")
-        out = run("elicit", "--statement=-s", "--method", "maxent", doc=doc).stdout
-        assert out == "prob -s_maxent over w: 0.5 0.25 0.25\n"
-
-    # (document, argv after --doc -, start of the one stderr line); TMP is a fresh
-    # directory that must stay empty: --out opens its file only on the first write
-    BAD_INPUT = [
-        pytest.param(DOC, ["--out", "TMP/x", "classify", "ghost"], "unknown mass 'ghost'",
-                     1, id="unknown-name-with-out"),
-        pytest.param(b"\xff\xfe\x00bad", ["classify", "m"], "cannot read <stdin>: 'utf-8' codec can't decode",
-                     1, id="not-utf8"),
-        pytest.param(DOC, ["--out", "TMP/missing/x", "classify", "nested"],
-                     "Could not open file 'TMP/missing/x': No such file or directory", 1, id="out-in-missing-dir"),
-        pytest.param(DOC, [*ALPHA, "0.8_0"], "argument --alpha: not a number: '0.8_0'", 2, id="underscore-alpha"),
-        pytest.param(DOC, [*ALPHA, "\u0660.\u0668"],
-                     "argument --alpha: not a number: '\u0660.\u0668'", 2, id="arabic-indic-alpha"),
-        pytest.param(DOC, [*ALPHA, "nan"], "confidence nan outside [0, 1]", 1, id="nan-alpha"),
-        # an argument that starts like a negative number is the option's value, not an option
-        *(pytest.param(DOC, [*ALPHA, alpha], f"confidence {shown} outside [0, 1]", 1, id=f"alpha{alpha}")
-          for alpha, shown in [("-inf", "-inf"), ("-nan", "nan"), ("-1e-3", "-0.001"), ("-0.5", "-0.5")]),
-        pytest.param(DOC, [*ALPHA, "-\u0661"],
-                     "argument --alpha: not a number: '-\u0661'", 2, id="alpha-arabic-indic-negative"),
-    ]
-
-    @pytest.mark.parametrize("doc,argv,message,status", BAD_INPUT)
-    def test_bad_input_is_one_line(self, tmp_path, doc, argv, message, status):
-        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
-        result = run(*argv, doc=doc, expect_exit=status)
-        error = result.stderr.splitlines(keepends=True)[-1]  # the usage lines come first on exit 2
-        assert error.startswith("Error: " + message.replace("TMP", str(tmp_path)))
-        assert len(result.stderr.replace(str(tmp_path), "TMP").encode()) < 200
-        assert list(tmp_path.iterdir()) == []
-
-    def test_missing_doc_is_usage_error(self):
-        assert credal("classify", "nested").exit_code == 2
-
-    # the runner checks that each is `Usage:` lines and then this one `Error:` line
-    @pytest.mark.parametrize("argv,error", [
-        ([], "the following arguments are required: --doc, COMMAND"),
-        (["--doc", "samples/ages.txt", "query"], "the following arguments are required: measure, name, subset"),
-        (["--doc", "samples/ages.txt", "elicit", "--method"], "argument --method: expected one argument"),
-        (["--doc", "samples/missing.txt", "classify", "m"],
-         "argument --doc: can't open 'samples/missing.txt': No such file or directory"),
-        (["--doc", "samples/statement10.txt", "elicit", "--stat", "s1"], "unrecognized arguments: --stat s1"),
-        (["--doc", "samples/statement10.txt", "elicit", "--frame", "w10", "--core", "{a b c}", "--alpha", "-x"],
-         "argument --alpha: expected one argument"),
-        (["--doc", "samples/ages.txt", "condition", "young", "--prior", "-x"],
-         "argument --prior: expected one argument")],
-        ids=["bare", "query-without-arguments", "option-without-value", "doc-that-will-not-open", "abbreviated-option",
-             "option-for-a-value", "name-for-a-value"])
-    def test_usage_error_ends_in_its_error_line(self, repo_root, argv, error):
-        result = credal(*argv)
-        assert result.exit_code == 2
-        assert result.stderr.splitlines()[-1] == "Error: " + error
-
-    def test_doc_file_path(self, repo_root):
-        result = credal("--doc", "samples/horse_race.txt", "cardinality", "horse_leaky")
-        assert result.exit_code == 0
-        assert result.stdout == "expected cardinality = 2.2\n"
 
     def test_interrupt_is_one_line(self, monkeypatch):
         def interrupted(**_):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_runner import credal
+from conftest import REPO_ROOT
 from credal import DocumentError, Frame, MassFunction, ValidationError, parse_document
 
 FULL_DOC = textwrap.dedent("""\
@@ -104,6 +105,16 @@ class TestHappyPath:
     def test_exponents_and_signed_zero_still_parse(self):
         doc = parse_document("frame w: a b\npi p over w: 1E0 -0.0\nprob q over w: 1e-0 .0")
         assert doc.pis["p"].values == (1.0, 0.0) and doc.probs["q"].values == (1.0, 0.0)
+
+
+def test_readme_examples_run():
+    # README's document declares one object of every kind, and its library example runs as written
+    readme = (REPO_ROOT / "README.md").read_text()
+    [text] = re.findall(r"^```text\n(.*?)^```", readme, re.M | re.S)
+    doc = parse_document(text)
+    assert all((doc.frames, doc.masses, doc.pis, doc.probs, doc.scales, doc.fuzzies, doc.statements))
+    [library] = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(library, {})
 
 
 # more digits than Python reads into an int, and far more than a float holds

@@ -24,10 +24,22 @@ class TestFrameConstruction:
         with pytest.raises(ValidationError, match="64"):
             frame_of(65)
 
-    @pytest.mark.parametrize("label", ["a b", "a{", "}b", "a:b", "a,b", ""])
-    def test_rejects_bad_label(self, label):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("label,message", [
+        ("a b", "label 'a b' contains forbidden character ' '"),
+        ("a{", "label 'a{' contains forbidden character '{'"),
+        ("}b", "label '}b' contains forbidden character '}'"),
+        ("a:b", "label 'a:b' contains forbidden character ':'"),
+        ("a,b", "label 'a,b' contains forbidden character ','"),
+        ("", "empty label"),
+        (None, "label None is not a string"),
+        (0, "label 0 is not a string"),
+        (5, "label 5 is not a string"),
+        (["a"], "label ['a'] is not a string")],
+        ids=["a b", "a{", "}b", "a:b", "a,b", "", "None", "0", "5", "list"])
+    def test_rejects_bad_label(self, label, message):
+        with pytest.raises(ValidationError) as info:
             Frame([label, "ok"])
+        assert str(info.value) == message
 
     def test_index_of_unknown_label(self, w3):
         with pytest.raises(ValidationError, match="unknown label 'w9'"):
@@ -77,9 +89,18 @@ class TestSubsets:
         assert s.cardinality == 0
         assert not s
 
-    def test_unknown_label(self, w3):
-        with pytest.raises(ValidationError, match="unknown label 'w9'"):
-            w3.subset(["w9"])
+    # a label that cannot be hashed is no atom's label either, and neither is an argument that is no iterable
+    @pytest.mark.parametrize("lookup,message", [
+        (lambda frame: frame.subset(["w9"]), "unknown label 'w9'"),
+        (lambda frame: frame.subset([["w1"]]), "unknown label ['w1']"),
+        (lambda frame: frame.index(["w1"]), "unknown label ['w1']"),
+        (lambda frame: ["w1"] in frame.full, "unknown label ['w1']"),
+        (lambda frame: frame.subset(5), "unknown label 5")],
+        ids=["outside-the-frame", "unhashable-in-subset", "unhashable-index", "unhashable-in", "not-iterable"])
+    def test_unknown_label(self, w3, lookup, message):
+        with pytest.raises(ValidationError) as info:
+            lookup(w3)
+        assert str(info.value) == message
 
     def test_complement(self, w3):
         assert (~w3.singleton("w1")).labels() == ("w2", "w3")
