@@ -343,7 +343,7 @@ class TrianglePoint(Record):
     @staticmethod
     def locate(x: float, y: float) -> TrianglePoint:
         x, y = _unit(x, "triangle coordinate"), _unit(y, "triangle coordinate")
-        if x + y > 1.0 + EQ_TOLERANCE:
+        if x + y - 1.0 > EQ_TOLERANCE:  # as `near` measures it, so a point accepted past 1 is on the edge
             raise ValidationError(f"point ({x}, {y}) lies outside the triangle (x + y > 1)")
 
         def near(u: float, v: float) -> bool:

@@ -98,6 +98,8 @@ class Frame(Record):
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """The subset containing exactly the named atoms (duplicates collapse)."""
+        if isinstance(labels, str):  # its characters are no labels; `singleton` takes one
+            raise ValidationError(f"subset labels must be a collection, not the string {labels!r}")
         return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:

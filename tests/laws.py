@@ -70,7 +70,10 @@ def random_consonant_mass(rng: random.Random, frame: Frame) -> MassFunction:
 def random_general_mass(rng: random.Random, frame: Frame) -> MassFunction:
     n = len(frame)
     count = rng.randint(1, min(10, (1 << n) - 1))
-    masks = rng.sample(range(1, 1 << n), count)
+    masks = {}  # distinct non-zero masks in draw order; `getrandbits` takes every n up to 64
+    while len(masks) < count:
+        if mask := rng.getrandbits(n):
+            masks[mask] = None
     weights = [rng.random() + 0.02 for _ in masks]
     total = sum(weights)
     return MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from credal import (
     Frame,
     MassFunction,
-    ValidationError,
     VagueStatement,
     bracket_check,
     maxent_distribution,
@@ -46,25 +45,6 @@ def w10() -> Frame:
 def probably_low(w10) -> VagueStatement:
     """'Probably one of the first three outcomes', confidence 0.8."""
     return VagueStatement(w10.subset(["w0", "w1", "w2"]), 0.8)
-
-
-class TestVagueStatement:
-    def test_empty_core_rejected(self, w10):
-        with pytest.raises(ValidationError, match="contradiction"):
-            VagueStatement(w10.empty, 0.5)
-
-    def test_full_core_rejected(self, w10):
-        with pytest.raises(ValidationError, match="no information"):
-            VagueStatement(w10.full, 0.5)
-
-    def test_alpha_bounds(self, w10):
-        core = w10.singleton("w0")
-        with pytest.raises(ValidationError, match="outside"):
-            VagueStatement(core, 1.2)
-        with pytest.raises(ValidationError, match="outside"):
-            VagueStatement(core, -0.1)
-        VagueStatement(core, 0.0)
-        VagueStatement(core, 1.0)
 
 
 class TestMaxent:

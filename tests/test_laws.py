@@ -165,7 +165,7 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 8, 13, 63])  # not 64: random_general_mass cannot sample range(1, 2**64)
+@pytest.mark.parametrize("n", [2, 8, 13, 63, 64])
 @pytest.mark.parametrize("kind", SEEDED)
 def test_seeded_laws(kind, n):
     rng = random.Random(n)
