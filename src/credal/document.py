@@ -39,7 +39,6 @@ _SCALE_LINE = re.compile(r"^scale\s+(?P<name>\S+)\s*:\s*(?P<lo>-?[0-9]+)\.\.(?P<
 _OVER_LINE = re.compile(
     r"^(?P<kind>mass|pi|prob|fuzzy|statement)\s+(?P<name>\S+)\s+over\s+(?P<ref>\S+)\s*:\s*(?P<rest>.*)$"
 )
-_FOCAL_LINE = re.compile(r"^\{(?P<labels>[^{}]*)\}\s+(?P<weight>\S+)$")
 _STATEMENT_REST = re.compile(
     r"^core\s+\{(?P<labels>[^{}]*)\}\s+alpha\s+(?P<alpha>\S+)$"
 )
@@ -195,17 +194,25 @@ def parse_document(text: str) -> Document:
     block = None  # the open mass block: (name, frame, (mask, weight) pairs, header line)
     for line, raw in enumerate(text.splitlines(), start=1):
         content = raw.strip()
-        if not content or content.startswith("#"):
+        if not content or content[0] == "#":
             continue
         try:
-            if content.startswith("{"):
+            if content[0] == "{":
                 if block is None:
                     raise ValidationError("focal line outside a mass block")
-                m = _FOCAL_LINE.match(content)
-                if m is None:
+                head, _, rest = content.partition("}")
+                labels, weight = head[1:], rest.split()
+                # `{labels} weight`: no brace among the labels, space after the first `}`, then one token
+                if "{" in labels or not rest[:1].isspace() or len(weight) != 1:
                     raise ValidationError(f"malformed focal line: {content!r} (expected {{label ...}} weight)")
-                _, frame, pairs, _ = block
-                pairs.append((frame._mask(m.group("labels").split()), _number(m.group("weight"))))
+                labels = labels.split()
+                try:  # k distinct bits sum to a k-bit mask; a repeated label carries and shows fewer
+                    mask = sum(map(bit, labels))
+                except KeyError:  # some label is unknown, and 0 has fewer bits than the labels
+                    mask = 0
+                if mask.bit_count() != len(labels):  # `_mask` names the unknown label, or ORs the repeated one
+                    mask = block[1]._mask(labels)
+                append((mask, _number(weight[0])))
                 continue
             if block is not None:
                 doc.masses[block[0]] = _closed(*block)
@@ -217,6 +224,7 @@ def parse_document(text: str) -> Document:
             obj = _built(doc, kind, name, syntax)
             if kind == "mass":  # the mass enters its table when its block closes
                 block = (name, obj, [], line)
+                bit, append = obj._bits.__getitem__, block[2].append  # bound once a block, not once a line
                 continue
             if kind in ("frame", "scale"):  # its atoms are its own, so frame_name finds it
                 frame = obj if kind == "frame" else obj.frame

@@ -100,6 +100,8 @@ class Frame(Record):
         """The subset containing exactly the named atoms (duplicates collapse)."""
         if isinstance(labels, str):  # its characters are no labels; `singleton` takes one
             raise ValidationError(f"subset labels must be a collection, not the string {labels!r}")
+        if isinstance(labels, (bytes, bytearray)):  # its items are ints, which name no atom
+            raise ValidationError(f"subset labels must be a collection of strings, not {labels!r}")
         return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:

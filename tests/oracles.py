@@ -8,15 +8,20 @@ checked against machinery that cannot share their mistakes. The reference
 zeta transform walks the powerset one element at a time, the plainest form
 of the adds the library's sliced kernel does; its Moebius inverse, the
 array form of the same transform and the exhaustive bracket check built on
-it run on numpy arrays.
+it run on numpy arrays. The regex reader of one focal line is the one the
+document parser used before it read them with `str` methods.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import beta as beta_dist
+
+from credal import Frame, ValidationError
+from credal.document import _number
 
 
 def shannon_entropy(p: np.ndarray | Sequence[float]) -> float | np.ndarray:
@@ -238,3 +243,14 @@ def exhaustive_bracket(
     widths[0] = widths[-1] = np.inf
     tightest = int(np.argmin(widths))
     return max_violation <= 1e-9, 1 << n, max_violation, float(widths[tightest]), tightest
+
+
+FOCAL_LINE = re.compile(r"^\{(?P<labels>[^{}]*)\}\s+(?P<weight>\S+)$")
+
+
+def reference_focal_line(frame: Frame, content: str) -> tuple[int, float]:
+    """The mask and weight of one stripped focal line: one regex match, then `Frame._mask` and `_number`."""
+    m = FOCAL_LINE.match(content)
+    if m is None:
+        raise ValidationError(f"malformed focal line: {content!r} (expected {{label ...}} weight)")
+    return frame._mask(m.group("labels").split()), _number(m.group("weight"))

@@ -13,7 +13,6 @@ import time
 from math import fsum
 
 import numpy as np
-import pytest
 
 from credal import (
     Frame,

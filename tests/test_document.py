@@ -142,6 +142,18 @@ FAULTS = [
     ("weight-sum", "frame w: a b\nmass m over w:\n{a} 0.4", "line 2: focal weights sum to 0.4, not 1 within 1e-06"),
     ("malformed-focal", "frame w: a b\nmass m over w:\n{a} ",
      "line 3: malformed focal line: '{a}' (expected {label ...} weight)"),
+    # a focal line is `{labels}`, space, then one token: a brace among the labels, no space or a second token
+    # is malformed; a brace after the space is part of the weight token; labels are read before the weight
+    ("focal-without-space", "frame w: a b\nmass m over w:\n{a}0.5",
+     "line 3: malformed focal line: '{a}0.5' (expected {label ...} weight)"),
+    ("focal-two-weights", "frame w: a b\nmass m over w:\n{a} 0.5 0.5",
+     "line 3: malformed focal line: '{a} 0.5 0.5' (expected {label ...} weight)"),
+    ("focal-second-close", "frame w: a b\nmass m over w:\n{a}} 0.5",
+     "line 3: malformed focal line: '{a}} 0.5' (expected {label ...} weight)"),
+    ("focal-second-open", "frame w: a b\nmass m over w:\n{a {b} 0.5",
+     "line 3: malformed focal line: '{a {b} 0.5' (expected {label ...} weight)"),
+    ("focal-brace-in-weight", "frame w: a b\nmass m over w:\n{a} 0.5}", "line 3: not a number: '0.5}'"),
+    ("label-before-weight", "frame w: a b\nmass m over w:\n{c c} half", "line 3: unknown label 'c'"),
     ("unknown-label", "frame w: a b\nmass m over w:\n{c} 1.0", "line 3: unknown label 'c'"),
     ("foreign-label", "frame w: a b\nframe v: c d\nmass m over w:\n{a} 0.5\n{a c} 0.5", "line 5: unknown label 'c'"),
     ("bad-focal-weight", "frame w: a b\nmass m over w:\n{a} 0.5\n{b} half", "line 4: not a number: 'half'"),
@@ -232,6 +244,19 @@ def test_cli_prints_the_fault(text, message):
     assert result.exit_code == 1
     assert result.stderr == f"Error: {message}\n"
     assert len(result.stderr.encode()) < 200
+
+
+# any whitespace `str.split` knows, the unit separator \x1f included, spaces the labels and the weight
+@pytest.mark.parametrize("line,labels", [
+    ("{a}\xa01.0", ["a"]),
+    ("{a}\x1f1.0", ["a"]),
+    ("{a\u2003b}\u30001.0", ["a", "b"]),
+    ("{ a  b }\t1.0", ["a", "b"]),
+], ids=["nbsp", "unit-separator", "em-and-ideographic-space", "padded-labels"])
+def test_focal_line_spacing(line, labels):
+    doc = parse_document(f"frame w: a b\nmass m over w:\n{line}")
+    frame = doc.frames["w"]
+    assert list(doc.masses["m"].focal_elements()) == [(frame.subset(labels), 1.0)]
 
 
 @st.composite

@@ -61,6 +61,11 @@ LIBRARY = [
      "subset labels must be a collection, not the string 'w1'"),
     ("string-of-two-labels", lambda: Frame(["a", "b"]).subset("ab"), ValidationError,
      "subset labels must be a collection, not the string 'ab'"),
+    # nor are bytes, whose items are ints
+    ("bytes-of-two-labels", lambda: Frame(["a", "b"]).subset(b"ab"), ValidationError,
+     "subset labels must be a collection of strings, not b'ab'"),
+    ("bytearray-of-one-label", lambda: Frame(["a", "b"]).subset(bytearray(b"a")), ValidationError,
+     "subset labels must be a collection of strings, not bytearray(b'a')"),
     ("mask-past-the-powerset", lambda: Subset(W3, 1 << 3), ValidationError,
      "subset mask 0x8 outside the frame's powerset"),
     ("negative-mask", lambda: Subset(W3, -1), ValidationError, "subset mask -0x1 outside the frame's powerset"),

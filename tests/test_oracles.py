@@ -3,22 +3,26 @@
 The oracles exist to check closed forms elsewhere, so nothing here may lean
 on those closed forms. Cross-checks use scipy's general-purpose optimizer
 and statistics: SLSQP for the projections and the entropy maximizer,
-Kolmogorov-Smirnov for the samplers.
+Kolmogorov-Smirnov for the samplers. The regex focal-line reader and the
+document parser's `str`-method reader check each other on drawn mass blocks.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import LinearConstraint, minimize
 from scipy.stats import beta as beta_dist
 from scipy.stats import entropy as scipy_entropy
 from scipy.stats import kstest
 
+from credal import DocumentError, Frame, MassFunction, ValidationError, parse_document
 from oracles import (
     maximize_entropy,
     project_feasible,
     project_to_scaled_simplex,
+    reference_focal_line,
     sample_feasible_distributions,
     sample_feasible_mass_cardinalities,
     shannon_entropy,
@@ -272,3 +276,57 @@ class TestFeasibleMassCardinalitySampler:
             sample_feasible_mass_cardinalities(5, 0, 0.5, 10, rng)
         with pytest.raises(ValueError, match="strictly between"):
             sample_feasible_mass_cardinalities(5, 5, 0.5, 10, rng)
+
+
+FRAME = Frame(["a", "b", "_"])
+HEADER = "frame w: a b _\nmass m over w:\n"
+# whitespace that `str.strip` and `str.split` read as space, `\x85` a line break too
+SPACE = [" ", "\t", "\xa0", "\u3000", "\x1f", "\x85"]
+# the frame's labels, two it lacks, space and braces
+LABEL_CHARS = ["a", "b", "_", "c", "\u0661", "{", "}"] + SPACE
+# five weights the parser reads, then tokens it refuses and ones that are no single token
+WEIGHTS = ["1.0", "0.5", "0.25", "1", "inf", "0.2_5", "\u0661", "0.5}", "{b}", "0.5 0.5", ""]
+
+
+def chars(alphabet, max_size):
+    return st.lists(st.sampled_from(alphabet), max_size=max_size).map("".join)
+
+
+# a line `{labels} weight` spelt well, or with anything of the alphabet around and inside it
+LABELS = st.lists(st.sampled_from(["a", "b", "_", "c"]), max_size=4).map(" ".join)
+CLEAN_LINE = st.builds("{{{}}} {}".format, LABELS, st.sampled_from(WEIGHTS[:5]))
+NOISY_LINE = st.builds(lambda *parts: "".join(parts), chars(SPACE, 2), st.sampled_from(["{", "{", "{{"]),
+                       st.one_of(LABELS, chars(LABEL_CHARS, 6)), st.sampled_from(["}", "}", "", "}}"]),
+                       chars(SPACE + ["{", "}"], 3), st.sampled_from(WEIGHTS), chars(SPACE, 2))
+
+
+def reference_outcome(text):
+    """What the parser gives `text` with the regex reading each focal line: focal items, or message, line, cause."""
+    pairs = []
+    for line, raw in enumerate(text.splitlines()[2:], start=3):
+        content = raw.strip()
+        if not content:  # a `\x85` cuts a drawn line: one piece starts `{`, malformed if a non-blank one follows
+            continue
+        try:
+            pairs.append(reference_focal_line(FRAME, content))
+        except ValidationError as exc:
+            return f"line {line}: {exc}", line, ValidationError
+    try:  # the block closes at the end of the text, and its header line reports what the mass refuses
+        return list(MassFunction._from_masks(FRAME, pairs).focal_elements())
+    except ValidationError as exc:
+        return f"line 2: {exc}", 2, ValidationError
+
+
+def parsed_outcome(text):
+    try:
+        doc = parse_document(text)
+    except DocumentError as exc:
+        return str(exc), exc.line, type(exc.__cause__)
+    return list(doc.masses["m"].focal_elements())
+
+
+@given(st.lists(st.one_of(CLEAN_LINE, NOISY_LINE), min_size=1, max_size=3))
+@settings(max_examples=400)
+def test_focal_lines_read_as_the_regex_reads_them(lines):
+    text = HEADER + "\n".join(lines)
+    assert parsed_outcome(text) == reference_outcome(text)
