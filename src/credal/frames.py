@@ -100,8 +100,9 @@ class Frame(Record):
         """The subset containing exactly the named atoms (duplicates collapse)."""
         if isinstance(labels, str):  # its characters are no labels; `singleton` takes one
             raise ValidationError(f"subset labels must be a collection, not the string {labels!r}")
-        if isinstance(labels, (bytes, bytearray)):  # its items are ints, which name no atom
-            raise ValidationError(f"subset labels must be a collection of strings, not {labels!r}")
+        if isinstance(labels, (bytes, bytearray, memoryview)):  # its items are ints, which name no atom
+            shown = "a memoryview" if isinstance(labels, memoryview) else repr(labels)  # its repr is an address
+            raise ValidationError(f"subset labels must be a collection of strings, not {shown}")
         return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:

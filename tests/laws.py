@@ -10,6 +10,8 @@ of its frame:
 - monotonicity: Bel and Pl grow with A;
 - consonant decomposability: Pi, and Pl of a consonant mass, are max over
   unions; N, and Bel of a consonant mass, are min over intersections;
+- consonant limits: max(Pl(A), Pl(not A)) = 1 and min(Bel(A), Bel(not A)) = 0;
+- a probability's Bayesian mass collapses the gap: Bel = P = Pl;
 - lossless round trips: pi -> mass -> pi, and consonant mass -> pi -> mass;
 - a statement's bracket: Bel(A) <= P(A) <= Pl(A) between its two readings;
 - the document's: a mass, pi or prob that `_declaration` writes reads back.
@@ -22,14 +24,18 @@ from math import fsum, isclose, nextafter
 from hypothesis import strategies as st
 
 from conftest import TOL
-from credal import (Frame, FuzzySet, MassFunction, PossibilityDistribution, ProbabilityDistribution, Subset,
-                    VagueStatement, bracket_check, contour, maxent_distribution, minspec_mass, parse_document,
+from credal import (Frame, FuzzySet, MassFunction, NumericScale, PossibilityDistribution, ProbabilityDistribution,
+                    Subset, VagueStatement, bracket_check, contour, maxent_distribution, minspec_mass, parse_document,
                     pi_to_mass, possibilistic_condition)
 from credal.document import _declaration
-from credal.evidence import SUM_TOLERANCE
+from credal.evidence import EQ_TOLERANCE, SUM_TOLERANCE
+from credal.fuzzy import NULL_EVENT_TOLERANCE
 
-# the largest frame whose whole powerset tables the mass laws scan
-TABLE_ATOMS = 8
+# the largest frame whose whole powerset tables the mass and probability laws scan
+TABLE_ATOMS = 10
+# the least grade `is_normalized` counts as a top of 1, and the float below it, which it does not
+NORMAL_EDGE = 1.0 - EQ_TOLERANCE
+SUBNORMAL_EDGE = nextafter(NORMAL_EDGE, 0.0)
 # numbers where rounding shows: subnormals, one that vanishes next to 1, repeating fractions, 1 ulp below 1
 EDGE = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-17, 1 / 3, 2 / 3, 0.5, 1 - 2**-53, 1.0]
 # weights far below the rest, which vanish next to 1 in a sum
@@ -79,6 +85,15 @@ def random_general_mass(rng: random.Random, frame: Frame) -> MassFunction:
     return MassFunction(frame, [(frame.from_mask(m), w / total) for m, w in zip(masks, weights)])
 
 
+def null_event(scale: NumericScale, below: bool = False) -> tuple[ProbabilityDistribution, FuzzySet]:
+    """A prior and a fuzzy set over `scale`, of 2 points or more, whose event probability is exactly
+    `NULL_EVENT_TOLERANCE`, the least that `bayes_fuzzy_condition` accepts, or with `below` the float under it."""
+    grade = 2 * NULL_EVENT_TOLERANCE
+    rest = [0.0] * (len(scale) - 2)
+    return (ProbabilityDistribution(scale.frame, [0.5, 0.5, *rest]),
+            FuzzySet(scale, [nextafter(grade, 0.0) if below else grade, 0.0, *rest]))
+
+
 @st.composite
 def focal_weights(draw, frame: Frame) -> list[tuple[Subset, float]]:
     """Up to 10 focal sets of `frame`, some named twice, with weights summing to 1; all but the first may be tiny."""
@@ -96,11 +111,12 @@ def masses(max_atoms: int) -> st.SearchStrategy[MassFunction]:
 
 @st.composite
 def grades(draw, n: int) -> list[float]:
-    """`n` grades, one of them 1, from a pool of up to 6, so atoms share grades and level cuts tie."""
+    """`n` grades from a pool of up to 6, so atoms share grades and level cuts tie, and one of them a top grade:
+    1, or either side of the tolerance edge of `is_normalized`."""
     lattice = st.integers(0, 2**53).map(lambda k: k / 2**53)
     pool = draw(st.lists(st.sampled_from(EDGE) | st.floats(0.0, 1.0) | lattice, min_size=1, max_size=6))
     values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    values[draw(st.integers(0, n - 1))] = 1.0
+    values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, NORMAL_EDGE, SUBNORMAL_EDGE]))
     return values
 
 
@@ -117,7 +133,8 @@ def subset_laws(a: Subset, probes: list[Subset]) -> None:
 
 def mass_laws(m: MassFunction, probes: list[Subset]) -> None:
     """A declaration that reads back; Bel <= Pl in [0, 1], duality and monotonicity, on the probes and on a small
-    frame's whole powerset; on a consonant mass, min/max decomposability and a round trip through its contour."""
+    frame's whole powerset; on a consonant mass, min/max decomposability, the limit laws and a round trip through
+    its contour."""
     n = len(m.frame)
     reread(m)
     assert 1.0 - TOL <= m.expected_cardinality() <= n + TOL
@@ -132,7 +149,8 @@ def mass_laws(m: MassFunction, probes: list[Subset]) -> None:
             assert abs(m.belief(a & b) - min(bel, m.belief(b))) <= TOL
             assert abs(m.plausibility(a | b) - max(pl, m.plausibility(b))) <= TOL
     if consonant:
-        focals, back = dict(m.focal_elements()), dict(pi_to_mass(contour(m)).focal_elements())
+        pi = contour(m)
+        focals, back = dict(m.focal_elements()), dict(pi_to_mass(pi).focal_elements())
         assert all(abs(back.get(s, 0.0) - focals.get(s, 0.0)) <= TOL for s in focals.keys() | back.keys())
         # a weight below an ulp of the plausibility it adds to vanishes from the contour; no other does
         if min(focals.values()) > TOL:
@@ -140,12 +158,24 @@ def mass_laws(m: MassFunction, probes: list[Subset]) -> None:
     if n <= TABLE_ATOMS:
         bel, pl = m.belief_table(), m.plausibility_table()
         full = (1 << n) - 1
+        if consonant:
+            # Pi of every subset, the contour's largest grade among its atoms, so that N(A) = 1 - Pi(not A)
+            poss = [0.0] * (full + 1)
+            for mask in range(1, full + 1):
+                low = mask & -mask
+                poss[mask] = max(poss[mask ^ low], pi.values[low.bit_length() - 1])
         for mask in range(full + 1):
             assert abs(bel[mask] + pl[full ^ mask] - 1.0) <= TOL and bel[mask] <= pl[mask] + TOL
             # the covering relation (drop one atom) implies the full order by transitivity
             for i in range(n):
                 if mask >> i & 1:
                     assert bel[mask ^ 1 << i] <= bel[mask] + TOL and pl[mask ^ 1 << i] <= pl[mask] + TOL
+            if consonant:
+                # within TOL / 2 of N and Pi, which are min- and max-decomposable exactly, so Bel of every
+                # intersection and Pl of every union are within TOL of the min and max of their operands
+                assert abs(bel[mask] - (1.0 - poss[full ^ mask])) <= TOL / 2 and abs(pl[mask] - poss[mask]) <= TOL / 2
+                # nested focal sets lie on one side: of A and not A, one is fully plausible and one not believed
+                assert abs(max(pl[mask], pl[full ^ mask]) - 1.0) <= TOL and min(bel[mask], bel[full ^ mask]) == 0.0
         for a in probes:
             assert abs(bel[a.mask] - m.belief(a)) <= TOL and abs(pl[a.mask] - m.plausibility(a)) <= TOL
 
@@ -181,7 +211,7 @@ def pi_laws(pi: PossibilityDistribution, probes: list[Subset]) -> None:
 
 def prob_laws(p: ProbabilityDistribution, probes: list[Subset]) -> None:
     """Values in [0, 1] summing to 1 whose declaration reads back, P(A) + P(not A) = 1, and Bel = P = Pl for its
-    Bayesian mass."""
+    Bayesian mass, on the probes and on a small frame's whole powerset."""
     assert all(0.0 <= v <= 1.0 for v in p.values) and abs(fsum(p.values) - 1.0) <= TOL
     reread(p)
     mass = p.as_mass()
@@ -189,6 +219,11 @@ def prob_laws(p: ProbabilityDistribution, probes: list[Subset]) -> None:
         prob = p.probability_of(a)
         assert abs(prob + p.probability_of(~a) - 1.0) <= TOL
         assert abs(mass.belief(a) - prob) <= TOL and abs(mass.plausibility(a) - prob) <= TOL
+    if len(p.frame) <= TABLE_ATOMS:
+        bel, pl = mass.belief_table(), mass.plausibility_table()
+        for a in p.frame.all_subsets():
+            prob = p.probability_of(a)
+            assert abs(bel[a.mask] - prob) <= TOL and abs(pl[a.mask] - prob) <= TOL
 
 
 def fuzzy_laws(f: FuzzySet, probes: list[Subset]) -> None:

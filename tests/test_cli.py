@@ -87,6 +87,11 @@ BIG_CHECK = ("subsets checked: 18446744073709551616\nmax violation: 2.66454e-15\
              "bracket holds: yes\n")
 BIG_CHECK_CSV = BRACKET_CSV + "18446744073709551616,0.000000,0.200000,{a1},true\n"
 NESTED_TRIANGLE = "nested,0.500000,0.000000,possibilistic-axes,\n"
+# the middle of three outcomes under an even two-way bet and under silence
+HORSES = "frame horses: a nab nb\nprob book over horses: 0.5 0.0 0.5\nmass silence over horses:\n  {a nab nb} 1.0\n"
+# the three canonical states of knowledge about one of two outcomes
+PAIR = ("frame pair: a b\nmass m_vacuous over pair:\n  {a b} 1.0\nprob p_half over pair: 0.5 0.5\n"
+        "mass m_interior over pair:\n  {a} 0.2\n  {b} 0.2\n  {a b} 0.6\n")
 
 # Each pinned command output, once: (id, document or None for no `--doc -`, argv, the whole stdout); every row
 # runs from the repository root
@@ -96,6 +101,11 @@ OUTPUTS = [
     ("query-pi", DOC, ["query", "Pi", "ramp", "{w2 w3}"], "Pi = 0.7\n"),
     ("query-n", DOC, ["query", "N", "ramp", "{w1}"], "N = 0.3\n"),
     ("query-csv", DOC, ["--csv", "query", "N", "ramp", "{w1}"], "measure,object,subset,value\nN,ramp,{w1},0.300000\n"),
+    # the bet leaves the middle no room, and silence leaves it wide open
+    ("query-bel-of-bet", HORSES, ["query", "Bel", "book", "{nab}"], "Bel = 0\n"),
+    ("query-pl-of-bet", HORSES, ["query", "Pl", "book", "{nab}"], "Pl = 0\n"),
+    ("query-bel-of-silence", HORSES, ["query", "Bel", "silence", "{nab}"], "Bel = 0\n"),
+    ("query-pl-of-silence", HORSES, ["query", "Pl", "silence", "{nab}"], "Pl = 1\n"),
     ("convert-pi-to-mass", DOC, ["convert", "ramp"], RAMP_MASS),
     ("convert-mass-to-pi", DOC, ["convert", "nested"], "pi nested_pi over w: 1 0.5 0.2\n"),
     # the block written by `convert ramp`, read back in and converted again
@@ -139,6 +149,10 @@ OUTPUTS = [
     ("triangle", DOC, ["triangle", "nested", "{w1}"], NESTED_TRIANGLE),
     ("triangle-csv", DOC, ["--csv", "triangle", "nested", "{w1}"], NESTED_TRIANGLE),
     ("triangle-prob", DOC, ["triangle", "flat", "{w1}"], "flat,0.200000,0.800000,probabilistic-edge,\n"),
+    ("triangle-vacuous", PAIR, ["triangle", "m_vacuous", "{a}"], "m_vacuous,0.000000,0.000000,O,1.000000\n"),
+    ("triangle-even-odds", PAIR, ["triangle", "p_half", "{a}"],
+     "p_half,0.500000,0.500000,probabilistic-edge,0.000000\n"),
+    ("triangle-interior", PAIR, ["triangle", "m_interior", "{a}"], "m_interior,0.200000,0.200000,interior,0.600000\n"),
     ("cardinality", DOC, ["cardinality", "nested"], "expected cardinality = 1.7\n"),
     ("cardinality-csv", DOC, ["--csv", "cardinality", "nested"], "mass,expected_cardinality\nnested,1.700000\n"),
     ("cardinality-doc-file", None, ["--doc", "samples/horse_race.txt", "cardinality", "horse_leaky"],

@@ -18,7 +18,7 @@ from credal import (ConditioningError, CredalError, Frame, FrameMismatchError, F
                     NormalizationError, NumericScale, PossibilityDistribution, ProbabilityDistribution, Subset,
                     TrianglePoint, ValidationError, VagueStatement, bayes_fuzzy_condition, fuzzy_event_probability,
                     make_mass, make_possibility, parse_frame, parse_subset, possibilistic_condition)
-from laws import frame_of
+from laws import frame_of, null_event
 
 NAN, INF = float("nan"), float("inf")
 W2, W3, W10 = Frame(["w1", "w2"]), Frame(["w1", "w2", "w3"]), frame_of(10)
@@ -66,6 +66,8 @@ LIBRARY = [
      "subset labels must be a collection of strings, not b'ab'"),
     ("bytearray-of-one-label", lambda: Frame(["a", "b"]).subset(bytearray(b"a")), ValidationError,
      "subset labels must be a collection of strings, not bytearray(b'a')"),
+    ("memoryview-of-two-labels", lambda: Frame(["a", "b"]).subset(memoryview(b"ab")), ValidationError,
+     "subset labels must be a collection of strings, not a memoryview"),
     ("mask-past-the-powerset", lambda: Subset(W3, 1 << 3), ValidationError,
      "subset mask 0x8 outside the frame's powerset"),
     ("negative-mask", lambda: Subset(W3, -1), ValidationError, "subset mask -0x1 outside the frame's powerset"),
@@ -239,6 +241,9 @@ LIBRARY = [
     ("null-fuzzy-event", lambda: bayes_fuzzy_condition(ProbabilityDistribution(AGE.frame, [0.0, 0.5, 0.5] + [0.0] * 7),
                                                        FuzzySet(AGE, [1.0] + [0.0] * 9)),
      ConditioningError, "cannot condition: the fuzzy event has probability 0.0 (below 1e-12)"),
+    # one float below the least event probability it accepts; `test_seeded_laws` conditions at that least one
+    ("fuzzy-event-an-ulp-below", lambda: bayes_fuzzy_condition(*null_event(NumericScale(1, 3), below=True)),
+     ConditioningError, "cannot condition: the fuzzy event has probability 9.999999999999998e-13 (below 1e-12)"),
     # elicit.py
     ("empty-core", lambda: VagueStatement(W10.empty, 0.5), ValidationError,
      "statement core is the contradiction (empty set)"),

@@ -71,6 +71,12 @@ class TestFuzzySet:
         assert f.membership(20) == 0.0
         assert f.membership(29) == 1.0
 
+    def test_end_breakpoints_read_their_own_grades(self):
+        # interpolating to an end would round 1.0 + (0.1 - 1.0) to 0.09999999999999998 and overflow -1e308 - 1e308
+        scale = NumericScale(1, 3)
+        assert FuzzySet.from_breakpoints(scale, [(1, 1.0), (3, 0.1)]).values == (1.0, 0.55, 0.1)
+        assert FuzzySet.from_breakpoints(scale, [(1, 1e308), (3, -1e308)]).membership(1) == 1.0
+
     def test_as_possibility_round_trip(self, young):
         assert young.as_possibility().values == young.values
         assert young.is_normalized

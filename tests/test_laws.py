@@ -153,6 +153,11 @@ Laws.TestCase.settings = settings(max_examples=100, stateful_step_count=12)
 TestLaws = Laws.TestCase
 
 
+def at_edge(grades: list[float]) -> list[float]:
+    """`grades` with its top grade of 1 lowered to the least grade `is_normalized` counts as 1."""
+    return [laws.NORMAL_EDGE if v == 1.0 else v for v in grades]
+
+
 # one seeded object of each kind over a frame of n points; its laws are checked on it and on four seeded probes
 SEEDED = {
     "subset": lambda rng, frame, g: frame.from_mask(rng.getrandbits(len(frame))),
@@ -162,6 +167,14 @@ SEEDED = {
     "prob": lambda rng, frame, g: ProbabilityDistribution(frame, [v / fsum(g) for v in g]),
     "fuzzy": lambda rng, frame, g: FuzzySet(NumericScale(0, len(frame) - 1), g),
     "statement": lambda rng, frame, g: VagueStatement(frame.from_mask(rng.randrange(1, frame.full.mask)), g[0]),
+    "approximation": lambda rng, frame, g: consonant_approximate(laws.random_general_mass(rng, frame))[0],
+    "minspec-pi": lambda rng, frame, g: minspec_mass(
+        VagueStatement(frame.from_mask(rng.randrange(1, frame.full.mask)), g[0]))[1],
+    "pi-at-edge": lambda rng, frame, g: PossibilityDistribution(frame, at_edge(g)),
+    "mass-at-edge": lambda rng, frame, g: pi_to_mass(PossibilityDistribution(frame, at_edge(g))),
+    "fuzzy-at-edge": lambda rng, frame, g: FuzzySet(NumericScale(0, len(frame) - 1), at_edge(g)),
+    # the least event probability `bayes_fuzzy_condition` accepts; the float below it is a `LIBRARY` row
+    "posterior-at-edge": lambda rng, frame, g: bayes_fuzzy_condition(*laws.null_event(NumericScale(0, len(frame) - 1))),
 }
 
 
